@@ -13,14 +13,12 @@
 // midpoint, reporting recovery latency, retransmission exposure, and the
 // post-crash latency spike.
 
-#include <functional>
 #include <iostream>
 
-#include "net/network.hpp"
 #include "bench_common.hpp"
-#include "cesrm/cesrm_agent.hpp"
-#include "infer/link_estimator.hpp"
+#include "harness/group.hpp"
 #include "lms/lms_agent.hpp"
+#include "net/network.hpp"
 #include "util/stats.hpp"
 
 namespace {
@@ -57,26 +55,18 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
   lms::LmsConfig lms_cfg;
   lms_cfg.srm = opts.base.cesrm.srm;
 
-  std::vector<std::unique_ptr<srm::SrmAgent>> agents;
-  std::vector<net::NodeId> member_nodes{tree.root()};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-  for (net::NodeId nid : member_nodes) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(nid) + 1);
-    switch (proto) {
-      case Proto::kSrm:
-        agents.push_back(std::make_unique<srm::SrmAgent>(
-            sim, network, nid, tree.root(), opts.base.cesrm.srm, agent_rng));
-        break;
-      case Proto::kCesrm:
-        agents.push_back(std::make_unique<::cesrm::cesrm::CesrmAgent>(
-            sim, network, nid, tree.root(), opts.base.cesrm, agent_rng));
-        break;
-      case Proto::kLms:
-        agents.push_back(std::make_unique<lms::LmsAgent>(
-            sim, network, nid, tree.root(), lms_cfg, directory, agent_rng));
-        break;
-    }
-  }
+  harness::Group group(
+      tree, rng,
+      [&](net::NodeId node,
+          util::Rng agent_rng) -> std::unique_ptr<srm::SrmAgent> {
+        if (proto == Proto::kLms)
+          return std::make_unique<lms::LmsAgent>(sim, network, node,
+                                                 tree.root(), lms_cfg,
+                                                 directory, agent_rng);
+        return harness::make_agent(
+            proto == Proto::kCesrm ? Protocol::kCesrm : Protocol::kSrm, sim,
+            network, node, tree.root(), opts.base.cesrm, agent_rng);
+      });
   network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                           net::NodeId to) {
     if (pkt.type != net::PacketType::kData) return false;
@@ -84,19 +74,14 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
     const auto& drops = links.drop_links(pkt.seq);
     return std::binary_search(drops.begin(), drops.end(), to);
   });
-  for (auto& agent : agents)
-    agent->start_session(sim::SimTime::millis(rng.uniform_int(0, 999)));
+  group.start_sessions(rng, opts.base.cesrm.srm.session_period);
 
   const sim::SimTime warmup = sim::SimTime::seconds(5);
   const net::SeqNo packets = gen.loss->packet_count();
-  srm::SrmAgent* src = agents.front().get();
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    src->send_data(seq);
-    if (seq + 1 < packets)
-      sim.schedule_in(gen.loss->period(),
-                      [&send_next, seq] { send_next(seq + 1); });
-  };
-  sim.schedule_at(warmup, [&send_next] { send_next(0); });
+  harness::ChainedSource transmission(
+      sim, gen.loss->period(), packets,
+      [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
+  transmission.start(warmup);
 
   // Crash scenario: at the midpoint, kill the receiver LMS designates at
   // the most routers — the worst case for stale replier state, and the
@@ -116,9 +101,9 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
         victim = node;
       }
     }
-    sim.schedule_at(midpoint, [&agents, &directory, victim] {
-      for (auto& agent : agents)
-        if (agent->node() == victim) agent->fail();
+    sim.schedule_at(midpoint, [&group, &directory, victim] {
+      for (std::size_t i = 0; i < group.size(); ++i)
+        if (group.node(i) == victim) group.agent(i).fail();
       directory.fail_member(victim);
     });
   }
@@ -128,19 +113,15 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
 
   RunOutcome out;
   std::uint64_t recoveries = 0;
-  for (auto& agent : agents) {
-    agent->stop_session();
-    agent->finalize_stats();
-    if (agent->failed() || agent->node() == tree.root()) continue;
-    const double rtt =
-        2.0 * network.path_delay(agent->node(), tree.root()).to_seconds();
-    for (const auto& r : agent->stats().recoveries) {
+  for (const harness::MemberResult& m : group.collect()) {
+    if (m.failed || m.is_source) continue;
+    for (const auto& r : m.stats.recoveries) {
       if (!r.recovered) {
         ++out.unrecovered;
         continue;
       }
       ++recoveries;
-      const double norm = r.latency_seconds() / rtt;
+      const double norm = r.latency_seconds() / m.rtt_to_source;
       (r.detect_time < midpoint ? out.pre_latency : out.post_latency)
           .add(norm);
       if (r.detect_time >= midpoint &&
@@ -176,10 +157,11 @@ int main(int argc, char** argv) {
   table.set_align(0, util::Align::kLeft);
   table.set_align(1, util::Align::kLeft);
 
-  // The LMS comparison needs custom agents and crash scheduling, so it
-  // keeps its hand-built run() loop. Trace preparation goes through the
-  // runner's shared cache and the 6 (protocol × {healthy, churned})
-  // simulations per trace fan out over --jobs worker threads.
+  // The LMS comparison needs custom agents and crash scheduling, so run()
+  // builds its group with its own agent factory instead of going through
+  // run_experiment. Trace preparation goes through the runner's shared
+  // cache and the 6 (protocol × {healthy, churned}) simulations per trace
+  // fan out over --jobs worker threads.
   const Proto protos[] = {Proto::kSrm, Proto::kCesrm, Proto::kLms};
   const auto specs = bench::selected_specs(opts);
   auto runner = bench::make_runner(opts);

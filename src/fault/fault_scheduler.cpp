@@ -149,17 +149,6 @@ net::Perturbation FaultScheduler::perturb(const net::Packet& pkt) {
   return p;
 }
 
-bool FaultScheduler::source_blocked() const {
-  const sim::SimTime now = sim_.now();
-  for (const SourcePause& pause : plan_.pauses)
-    if (now >= pause.at && now < pause.until) return true;
-  const net::NodeId root = net_.tree().root();
-  for (const ResolvedCrash& crash : crashes_)
-    if (crash.node == root && now >= crash.at && now < crash.recover_at)
-      return true;
-  return false;
-}
-
 sim::SimTime FaultScheduler::source_resume_time() const {
   const sim::SimTime now = sim_.now();
   sim::SimTime resume = now;

@@ -54,12 +54,9 @@ class FaultScheduler {
   /// already drops the crossing. Call exactly once, before running.
   void install(net::DropFn base_drop);
 
-  /// True while a SourcePause clause or a source crash suppresses
-  /// transmission at the current simulated time.
-  bool source_blocked() const;
-
-  /// Earliest time transmission may resume given every clause active now;
-  /// infinity() for a source crash-stop. Meaningful while source_blocked().
+  /// Earliest time the source may transmit given every SourcePause clause
+  /// and source crash active now: now() when nothing blocks it, infinity()
+  /// for a source crash-stop (a harness::ChainedSource hold).
   sim::SimTime source_resume_time() const;
 
   const FaultPlan& plan() const { return plan_; }

@@ -1,15 +1,11 @@
 #include "harness/experiment.hpp"
 
 #include <algorithm>
-#include <array>
-#include <functional>
 #include <map>
 #include <optional>
-#include <tuple>
 
 #include "fault/fault_scheduler.hpp"
 #include "fault/oracle.hpp"
-#include "harness/scale.hpp"
 #include "infer/link_estimator.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
@@ -140,10 +136,7 @@ ExperimentResult run_experiment_impl(
   net::Network network(sim, tree, config.network);
   util::Rng rng(config.seed);
 
-  // --- members: source first, then receivers in tree order -------------
   const net::NodeId source = tree.root();
-  std::vector<net::NodeId> member_nodes{source};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
 
   // Side info for the confidence/oracle cache policies. Auto-installed
   // from the trace when the selected policy wants it and the caller did
@@ -158,18 +151,10 @@ ExperimentResult run_experiment_impl(
     cesrm_cfg.cache.side_info = &*side_info;
   }
 
-  std::vector<std::unique_ptr<srm::SrmAgent>> agents;
-  agents.reserve(member_nodes.size());
-  for (net::NodeId node : member_nodes) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(node) + 1);
-    if (config.protocol == Protocol::kCesrm) {
-      agents.push_back(std::make_unique<cesrm::CesrmAgent>(
-          sim, network, node, source, cesrm_cfg, agent_rng));
-    } else {
-      agents.push_back(std::make_unique<srm::SrmAgent>(
-          sim, network, node, source, config.cesrm.srm, agent_rng));
-    }
-  }
+  Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
+    return make_agent(config.protocol, sim, network, node, source, cesrm_cfg,
+                      agent_rng);
+  });
 
   // --- durable recovery state --------------------------------------------
   // Mode off constructs nothing: the agents keep their null sinks and the
@@ -177,7 +162,8 @@ ExperimentResult run_experiment_impl(
   std::optional<durable::Manager> durable_mgr;
   if (config.durable.mode != durable::DurableMode::kOff) {
     durable_mgr.emplace(config.durable);
-    for (auto& agent : agents) durable_mgr->attach(*agent);
+    for (std::size_t i = 0; i < group.size(); ++i)
+      durable_mgr->attach(group.agent(i));
   }
 
   // --- fault injection ---------------------------------------------------
@@ -188,9 +174,9 @@ ExperimentResult run_experiment_impl(
   if (!config.faults.empty()) {
     faults.emplace(sim, network, config.faults, config.seed);
     oracle.emplace(sim, tree);
-    for (std::size_t i = 0; i < agents.size(); ++i) {
-      faults->add_member(member_nodes[i], agents[i].get());
-      oracle->add_member(member_nodes[i], agents[i].get());
+    for (std::size_t i = 0; i < group.size(); ++i) {
+      faults->add_member(group.node(i), &group.agent(i));
+      oracle->add_member(group.node(i), &group.agent(i));
     }
     if (durable_mgr) {
       durable::Manager* mgr = &*durable_mgr;
@@ -237,36 +223,22 @@ ExperimentResult run_experiment_impl(
     network.set_drop_fn(std::move(base_drop));
 
   // --- session warm-up ---------------------------------------------------
-  for (auto& agent : agents) {
-    const auto offset = sim::SimTime::millis(rng.uniform_int(
-        0, config.cesrm.srm.session_period.ns() / 1000000 - 1));
-    agent->start_session(offset);
-  }
+  group.start_sessions(rng, config.cesrm.srm.session_period);
 
   // --- data transmission --------------------------------------------------
+  // A blocked source (pause clause, or a crashed source) defers the pending
+  // packet to the resume time; a crash-stopped source ends the
+  // transmission early.
   net::SeqNo packet_count = loss_trace.packet_count();
   if (config.max_packets > 0)
     packet_count = std::min(packet_count, config.max_packets);
-  srm::SrmAgent* src_agent = agents.front().get();
-  net::SeqNo packets_sent = 0;
-  // Chained scheduling keeps the pending-event set small. A blocked source
-  // (pause clause, or a crashed source) defers the pending packet to the
-  // resume time — sequence numbers stay consecutive — and a crash-stopped
-  // source simply ends the transmission early.
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    if (faults && faults->source_blocked()) {
-      const sim::SimTime resume = faults->source_resume_time();
-      if (resume < sim::SimTime::infinity())
-        sim.schedule_at(resume, [&send_next, seq] { send_next(seq); });
-      return;
-    }
-    src_agent->send_data(seq);
-    ++packets_sent;
-    if (seq + 1 < packet_count)
-      sim.schedule_in(loss_trace.period(),
-                      [&send_next, seq] { send_next(seq + 1); });
-  };
-  sim.schedule_at(config.warmup, [&send_next] { send_next(0); });
+  ChainedSource transmission(
+      sim, loss_trace.period(), packet_count,
+      [&group](net::SeqNo seq) { group.source_agent().send_data(seq); },
+      faults ? ChainedSource::Hold(
+                   [&faults] { return faults->source_resume_time(); })
+             : nullptr);
+  transmission.start(config.warmup);
 
   sim::SimTime horizon =
       config.warmup +
@@ -280,7 +252,7 @@ ExperimentResult run_experiment_impl(
     oracle->start(horizon);
   }
   sim.run_until(horizon);
-  if (oracle) oracle->finish(packets_sent, source);
+  if (oracle) oracle->finish(transmission.sent(), source);
 
   // --- collection ---------------------------------------------------------
   ExperimentResult result;
@@ -288,19 +260,8 @@ ExperimentResult run_experiment_impl(
   result.protocol = config.protocol;
   result.events_executed = sim.events_executed();
   result.sim_end = sim.now();
-  result.packets_sent = packets_sent;
-  for (std::size_t i = 0; i < agents.size(); ++i) {
-    agents[i]->stop_session();
-    agents[i]->finalize_stats();
-    MemberResult m;
-    m.node = member_nodes[i];
-    m.is_source = member_nodes[i] == source;
-    m.failed = agents[i]->failed();
-    m.stats = agents[i]->stats();
-    m.rtt_to_source =
-        2.0 * network.path_delay(member_nodes[i], source).to_seconds();
-    result.members.push_back(std::move(m));
-  }
+  result.packets_sent = transmission.sent();
+  result.members = group.collect();
   result.crossings = network.crossings();
 
   if (recorder) {
@@ -386,287 +347,13 @@ ExperimentResult run_experiment_impl(
   return result;
 }
 
-// --------------------------------------------------------------------------
-// Sharded parallel run (ExperimentConfig::shards >= 1)
-// --------------------------------------------------------------------------
-
-// partition_tree (harness/scale.cpp) supplies the node → shard map: root
-// on shard 0, each root-child subtree wholly on one shard by greedy
-// longest-first bin-packing. Any map is correct — mailboxes carry every
-// cross-shard edge — this one keeps the multicast flood mostly intra-shard.
-
-/// Canonical full-content order for merged per-shard event streams. Each
-/// shard's stream is a deterministic multiset but its interleaving is a
-/// layout artifact; sorting by every field makes the merged artifact a
-/// pure function of the multiset — byte-identical for any shard count.
-bool trace_event_before(const obs::TraceEvent& a, const obs::TraceEvent& b) {
-  const auto key = [](const obs::TraceEvent& e) {
-    return std::make_tuple(e.at.ns(), static_cast<int>(e.kind), e.node,
-                           e.source, e.seq, e.peer, e.detail, e.aux);
-  };
-  return key(a) < key(b);
-}
-
-ExperimentResult run_experiment_sharded_impl(
-    const trace::LossTrace& loss_trace,
-    const infer::LinkTraceRepresentation& links,
-    const ExperimentConfig& config) {
-  const auto& tree = loss_trace.tree();
-  CESRM_CHECK_MSG(config.shards >= 1, "sharded run needs shards >= 1");
-  CESRM_CHECK_MSG(!config.lossy_recovery,
-                  "sharded runs do not support lossy recovery (the drop "
-                  "coin-flips share one sequential RNG)");
-  CESRM_CHECK_MSG(config.durable.mode == durable::DurableMode::kOff,
-                  "sharded runs do not support durable recovery state");
-  CESRM_CHECK_MSG(!config.observe.profile,
-                  "sharded runs do not support wall-clock profiling");
-  CESRM_CHECK_MSG(config.faults.outages.empty() &&
-                      config.faults.control_bursts.empty() &&
-                      config.faults.pauses.empty() &&
-                      config.faults.perturb_bursts.empty(),
-                  "sharded runs support only crash/recover fault clauses");
-  if (!config.faults.empty()) config.faults.validate();
-
-  sim::ShardedEngine engine(partition_tree(tree, config.shards),
-                            config.shards, config.network.link_delay);
-
-  // Per-shard recorders: counts sum and the streams merge canonically, so
-  // every exported artifact is identical for any shard count. Streaming
-  // mode captures the full stream internally and folds the sketch from
-  // the *sorted* merge — folding per shard would make the TopK sketches
-  // (order-sensitive) layout-dependent.
-  std::vector<std::unique_ptr<obs::TraceRecorder>> recorders;
-  if (config.observe.enabled()) {
-    obs::ObsConfig shard_obs = config.observe;
-    shard_obs.profile = false;
-    shard_obs.stream = false;
-    shard_obs.trace = config.observe.trace || config.observe.stream;
-    for (int s = 0; s < config.shards; ++s) {
-      recorders.push_back(std::make_unique<obs::TraceRecorder>(shard_obs));
-      engine.sim(s).set_recorder(recorders.back().get());
-    }
-  }
-
-  net::Network network(engine.sim(0), tree, config.network);
-  network.enable_sharding(&engine);
-  util::Rng rng(config.seed);
-
-  // --- members: source first, then receivers in tree order -------------
-  const net::NodeId source = tree.root();
-  std::vector<net::NodeId> member_nodes{source};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-
-  cesrm::CesrmConfig cesrm_cfg = config.cesrm;
-  std::optional<LinkTraceSideInfo> side_info;
-  if (config.protocol == Protocol::kCesrm &&
-      cesrm_cfg.cache.side_info == nullptr &&
-      (cesrm_cfg.cache.policy == cesrm::CachePolicyKind::kConfidence ||
-       cesrm_cfg.cache.policy == cesrm::CachePolicyKind::kOracle)) {
-    side_info.emplace(loss_trace, links);
-    cesrm_cfg.cache.side_info = &*side_info;
-  }
-
-  // Each agent lives on the simulator of its node's shard: its timers and
-  // zero-delay self-sends stay shard-local, and on_packet always runs on
-  // the owning shard's thread.
-  std::vector<std::unique_ptr<srm::SrmAgent>> agents;
-  agents.reserve(member_nodes.size());
-  for (net::NodeId node : member_nodes) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(node) + 1);
-    sim::Simulator& shard_sim = engine.sim(engine.shard_of(node));
-    if (config.protocol == Protocol::kCesrm) {
-      agents.push_back(std::make_unique<cesrm::CesrmAgent>(
-          shard_sim, network, node, source, cesrm_cfg, agent_rng));
-    } else {
-      agents.push_back(std::make_unique<srm::SrmAgent>(
-          shard_sim, network, node, source, config.cesrm.srm, agent_rng));
-    }
-  }
-
-  // --- crash/recover faults ------------------------------------------------
-  // The crash subset schedules directly on the crashed node's shard; the
-  // recovery session offset is drawn at setup from the same fork the
-  // legacy FaultScheduler uses, so replay never depends on run interleaving.
-  if (!config.faults.crashes.empty()) {
-    std::vector<srm::SrmAgent*> agent_at(tree.size(), nullptr);
-    for (std::size_t i = 0; i < agents.size(); ++i)
-      agent_at[static_cast<std::size_t>(member_nodes[i])] = agents[i].get();
-    util::Rng fault_rng = util::Rng(config.seed).fork(0xFA417u);
-    for (const auto& crash : config.faults.crashes) {
-      const fault::ResolvedCrash rc = fault::resolve(crash, tree);
-      srm::SrmAgent* agent = agent_at[static_cast<std::size_t>(rc.node)];
-      CESRM_CHECK_MSG(agent != nullptr, "crash targets a non-member node");
-      sim::Simulator* ssim = &engine.sim(engine.shard_of(rc.node));
-      ssim->schedule_at(rc.at, [ssim, agent, node = rc.node] {
-        if (auto* rec = ssim->recorder())
-          rec->emit(ssim->now(), obs::EventKind::kFaultApplied, node,
-                    net::kInvalidNode, net::kNoSeq, net::kInvalidNode,
-                    obs::kFaultCrash);
-        agent->fail();
-      });
-      if (rc.recovers()) {
-        const sim::SimTime offset =
-            sim::SimTime::millis(fault_rng.uniform_int(0, 999));
-        ssim->schedule_at(
-            rc.recover_at, [ssim, agent, offset, node = rc.node] {
-              if (!agent->failed()) return;  // clause never applied
-              if (auto* rec = ssim->recorder())
-                rec->emit(ssim->now(), obs::EventKind::kFaultApplied, node,
-                          net::kInvalidNode, net::kNoSeq, net::kInvalidNode,
-                          obs::kFaultRecover);
-              agent->recover(offset);
-            });
-      }
-    }
-  }
-
-  // --- loss injection ------------------------------------------------------
-  // Data drops replay the trace through a pure, stateless lookup — safe
-  // to call from every shard thread. Recovery and session traffic is
-  // lossless here (lossy_recovery was rejected above).
-  network.set_drop_fn([&tree, &links](const net::Packet& pkt,
-                                      net::NodeId from, net::NodeId to) {
-    if (pkt.type != net::PacketType::kData) return false;
-    if (tree.parent(to) != from) return false;  // upstream: impossible
-    const auto& drops = links.drop_links(pkt.seq);
-    return std::binary_search(drops.begin(), drops.end(), to);
-  });
-
-  // --- session warm-up -----------------------------------------------------
-  for (auto& agent : agents) {
-    const auto offset = sim::SimTime::millis(rng.uniform_int(
-        0, config.cesrm.srm.session_period.ns() / 1000000 - 1));
-    agent->start_session(offset);
-  }
-
-  // --- data transmission ---------------------------------------------------
-  net::SeqNo packet_count = loss_trace.packet_count();
-  if (config.max_packets > 0)
-    packet_count = std::min(packet_count, config.max_packets);
-  srm::SrmAgent* src_agent = agents.front().get();
-  sim::Simulator& src_sim = engine.sim(engine.shard_of(source));
-  net::SeqNo packets_sent = 0;
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    src_agent->send_data(seq);
-    ++packets_sent;
-    if (seq + 1 < packet_count)
-      src_sim.schedule_in(loss_trace.period(),
-                          [&send_next, seq] { send_next(seq + 1); });
-  };
-  src_sim.schedule_at(config.warmup, [&send_next] { send_next(0); });
-
-  sim::SimTime horizon =
-      config.warmup +
-      loss_trace.period() * static_cast<std::int64_t>(packet_count) +
-      config.drain;
-  if (!config.faults.empty())
-    horizon += config.faults.horizon_slack() + config.fault_settle;
-  engine.run_until(horizon);
-
-  // --- collection ----------------------------------------------------------
-  ExperimentResult result;
-  result.trace_name = loss_trace.name();
-  result.protocol = config.protocol;
-  result.events_executed = engine.events_executed();
-  result.sim_end = engine.sim(0).now();
-  result.packets_sent = packets_sent;
-  for (std::size_t i = 0; i < agents.size(); ++i) {
-    agents[i]->stop_session();
-    agents[i]->finalize_stats();
-    MemberResult m;
-    m.node = member_nodes[i];
-    m.is_source = member_nodes[i] == source;
-    m.failed = agents[i]->failed();
-    m.stats = agents[i]->stats();
-    m.rtt_to_source =
-        2.0 * network.path_delay(member_nodes[i], source).to_seconds();
-    result.members.push_back(std::move(m));
-  }
-  result.crossings = network.total_crossings();
-
-  if (!recorders.empty()) {
-    std::array<std::uint64_t, obs::kEventKindCount> counts{};
-    std::vector<obs::TraceEvent> merged;
-    for (auto& rec : recorders) {
-      for (std::size_t k = 0; k < obs::kEventKindCount; ++k)
-        counts[k] += rec->count(static_cast<obs::EventKind>(k));
-      auto events = rec->take_events();
-      merged.insert(merged.end(), events.begin(), events.end());
-    }
-    std::sort(merged.begin(), merged.end(), trace_event_before);
-    if (config.observe.stream) {
-      obs::StreamingSketch sketch;
-      for (const obs::TraceEvent& e : merged) sketch.fold(e);
-      result.sketch =
-          std::make_shared<const obs::StreamingSketch>(std::move(sketch));
-    }
-    if (config.observe.trace)
-      result.events = std::make_shared<const std::vector<obs::TraceEvent>>(
-          std::move(merged));
-    if (config.observe.metrics) {
-      obs::MetricsRegistry reg;
-      for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {
-        const auto kind = static_cast<obs::EventKind>(k);
-        if (counts[k])
-          reg.add(std::string("events.") + obs::event_kind_name(kind),
-                  counts[k]);
-      }
-      // Scheduled/executed/cancelled sums are layout-invariant (every
-      // event is scheduled exactly once, locally or at a mailbox drain);
-      // the queue high-water mark is a per-shard artifact and is omitted.
-      reg.add("sim.events_executed", engine.events_executed());
-      reg.add("sim.events_scheduled", engine.events_scheduled());
-      reg.add("sim.events_cancelled", engine.events_cancelled());
-      reg.add("protocol.losses_detected", result.total_losses_detected());
-      reg.add("protocol.silent_repairs", result.total_silent_repairs());
-      reg.add("protocol.recovered", result.total_recovered());
-      reg.add("protocol.unrecovered", result.total_unrecovered());
-      reg.add("protocol.requests_sent", result.total_requests_sent());
-      reg.add("protocol.replies_sent", result.total_replies_sent());
-      reg.add("protocol.exp_requests_sent", result.total_exp_requests_sent());
-      reg.add("protocol.exp_replies_sent", result.total_exp_replies_sent());
-      if (config.protocol == Protocol::kCesrm &&
-          cesrm_cfg.cache.policy != cesrm::CachePolicyKind::kRecency) {
-        cesrm::CacheStats cache_totals;
-        for (const auto& m : result.members) {
-          cache_totals.hits += m.stats.cache_hits;
-          cache_totals.misses += m.stats.cache_misses;
-          cache_totals.insertions += m.stats.cache_insertions;
-          cache_totals.updates += m.stats.cache_updates;
-          cache_totals.evictions += m.stats.cache_evictions;
-          cache_totals.expirations += m.stats.cache_expirations;
-          cache_totals.rejects += m.stats.cache_rejects;
-        }
-        reg.add("cache.hits", cache_totals.hits);
-        reg.add("cache.misses", cache_totals.misses);
-        reg.add("cache.insertions", cache_totals.insertions);
-        reg.add("cache.updates", cache_totals.updates);
-        reg.add("cache.evictions", cache_totals.evictions);
-        reg.add("cache.expirations", cache_totals.expirations);
-        reg.add("cache.rejects", cache_totals.rejects);
-      }
-      util::Histogram& lat =
-          reg.histogram("recovery.latency_norm", 0.0, 50.0, 100);
-      for (const auto& m : result.members) {
-        if (m.is_source || m.rtt_to_source <= 0.0) continue;
-        for (const auto& r : m.stats.recoveries)
-          if (r.recovered) lat.add(r.latency_seconds() / m.rtt_to_source);
-      }
-      result.metrics = reg.take();
-    }
-  }
-  return result;
-}
-
 }  // namespace
 
 ExperimentResult run_experiment(const trace::LossTrace& loss_trace,
                                 const infer::LinkTraceRepresentation& links,
                                 const ExperimentConfig& config) {
   try {
-    return config.shards >= 1
-               ? run_experiment_sharded_impl(loss_trace, links, config)
-               : run_experiment_impl(loss_trace, links, config);
+    return run_experiment_impl(loss_trace, links, config);
   } catch (const util::CheckError& e) {
     // One-line reproduction recipe: the tuple below replays the failing
     // run exactly (the violation message itself carries the sim time).

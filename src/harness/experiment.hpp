@@ -2,9 +2,10 @@
 //
 // run_experiment() reenacts one IP multicast transmission: it builds the
 // trace's tree and network, attaches an SRM or CESRM agent at the source
-// and at every receiver, lets the members exchange session messages for a
-// warm-up period (so distance estimates converge before data flows, as in
-// the paper), then transmits the packets at the trace's period while the
+// and at every receiver (a harness::Group), lets the members exchange
+// session messages for a warm-up period (so distance estimates converge
+// before data flows, as in the paper), then transmits the packets at the
+// trace's period while the
 // network drops each data packet on exactly the links the link trace
 // representation names. Recovery traffic is lossless by default; the
 // lossy-recovery mode drops it randomly according to the per-link loss
@@ -20,6 +21,7 @@
 #include "cesrm/cesrm_agent.hpp"
 #include "durable/store.hpp"
 #include "fault/fault_plan.hpp"
+#include "harness/group.hpp"
 #include "infer/link_trace.hpp"
 #include "net/network.hpp"
 #include "obs/metrics.hpp"
@@ -67,27 +69,6 @@ struct ExperimentConfig {
   /// compile down to a null-pointer check and the run's behaviour and
   /// output are identical to a build without the obs subsystem).
   obs::ObsConfig observe;
-  /// Intra-run parallelism: 0 (default) runs the classic single-threaded
-  /// simulator, byte-identical to every previous release; N >= 1 shards
-  /// the tree over N event queues driven by N threads under conservative
-  /// link-delay lookahead windows (sim::ShardedEngine). Sharded results
-  /// and artifacts are deterministic and identical for EVERY N >= 1 —
-  /// shards=1 is the reference the invariance tests compare against.
-  /// Restrictions (CHECKed): no lossy_recovery, no durability, no
-  /// profiling, and fault plans limited to crash/recover clauses.
-  int shards = 0;
-};
-
-/// Per-member outcome. Members are ordered source first, then receivers
-/// in tree order — matching the figures' "receiver 0 is the source".
-struct MemberResult {
-  net::NodeId node = net::kInvalidNode;
-  bool is_source = false;
-  /// Crashed (and not recovered) when the run ended.
-  bool failed = false;
-  srm::HostStats stats;
-  /// True RTT to the source in seconds (normalization unit of Figures 1-2).
-  double rtt_to_source = 0.0;
 };
 
 struct ExperimentResult {

@@ -8,6 +8,7 @@
 #include <memory>
 #include <optional>
 
+#include "harness/group.hpp"
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/topology_builder.hpp"
@@ -20,6 +21,12 @@
 
 namespace cesrm::harness {
 
+namespace {
+
+/// Deterministic shard map for a multicast tree: root on shard 0, each
+/// root-child subtree wholly on one shard by greedy longest-first
+/// bin-packing. Any map is correct; this one keeps floods mostly
+/// intra-shard.
 std::vector<int> partition_tree(const net::MulticastTree& tree, int shards) {
   std::vector<int> shard_of(tree.size(), 0);
   if (shards <= 1) return shard_of;
@@ -58,8 +65,6 @@ std::vector<int> partition_tree(const net::MulticastTree& tree, int shards) {
   }
   return shard_of;
 }
-
-namespace {
 
 constexpr sim::SimTime kWarmup = sim::SimTime::seconds(1);
 
@@ -227,16 +232,12 @@ ScaleResult run_scale(const ScaleConfig& config) {
   }
 
   // --- the transmission -------------------------------------------------
-  auto send_next = std::make_shared<std::function<void(net::SeqNo)>>();
-  *send_next = [&network, &root_sim, root, send_next,
-                packets = config.packets, period = config.period](
-                   net::SeqNo seq) {
-    network.multicast(root, net::make_data_packet(root, seq));
-    if (seq + 1 < packets)
-      root_sim.schedule_in(period,
-                           [send_next, seq] { (*send_next)(seq + 1); });
-  };
-  root_sim.schedule_at(kWarmup, [send_next] { (*send_next)(0); });
+  ChainedSource transmission(
+      root_sim, config.period, config.packets,
+      [&network, root](net::SeqNo seq) {
+        network.multicast(root, net::make_data_packet(root, seq));
+      });
+  transmission.start(kWarmup);
 
   const auto t0 = std::chrono::steady_clock::now();
   if (engine)

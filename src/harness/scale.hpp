@@ -20,7 +20,6 @@
 
 #include <cstdint>
 #include <string>
-#include <vector>
 
 #include "net/topology.hpp"
 #include "protocol.hpp"
@@ -28,12 +27,6 @@
 #include "srm/session_aggregate.hpp"
 
 namespace cesrm::harness {
-
-/// Deterministic shard map for a multicast tree: root on shard 0, each
-/// root-child subtree wholly on one shard by greedy longest-first
-/// bin-packing. Shared by the sharded experiment path and the scale
-/// driver; any map is correct, this one keeps floods mostly intra-shard.
-std::vector<int> partition_tree(const net::MulticastTree& tree, int shards);
 
 struct ScaleConfig {
   Protocol protocol = Protocol::kCesrm;

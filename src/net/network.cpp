@@ -58,18 +58,21 @@ void Network::enable_sharding(sim::ShardedEngine* engine) {
   shard_ser_.assign(static_cast<std::size_t>(engine->shards()), {});
 }
 
+CrossingStats& CrossingStats::operator+=(const CrossingStats& other) {
+  for (std::size_t i = 0; i < kPacketTypeCount; ++i) {
+    multicast[i] += other.multicast[i];
+    unicast[i] += other.unicast[i];
+    subcast[i] += other.subcast[i];
+    dropped[i] += other.dropped[i];
+    duplicated[i] += other.duplicated[i];
+    wire_bytes[i] += other.wire_bytes[i];
+  }
+  return *this;
+}
+
 CrossingStats Network::total_crossings() const {
   CrossingStats total = stats_;
-  for (const CrossingStats& s : shard_stats_) {
-    for (std::size_t i = 0; i < kPacketTypeCount; ++i) {
-      total.multicast[i] += s.multicast[i];
-      total.unicast[i] += s.unicast[i];
-      total.subcast[i] += s.subcast[i];
-      total.dropped[i] += s.dropped[i];
-      total.duplicated[i] += s.duplicated[i];
-      total.wire_bytes[i] += s.wire_bytes[i];
-    }
-  }
+  for (const CrossingStats& s : shard_stats_) total += s;
   return total;
 }
 

@@ -90,6 +90,9 @@ struct CrossingStats {
   std::uint64_t wire_bytes_of(PacketType t) const {
     return wire_bytes[static_cast<std::size_t>(t)];
   }
+
+  /// Element-wise sum of every counter (per-shard or per-member tallies).
+  CrossingStats& operator+=(const CrossingStats& other);
 };
 
 class Network : public Transport {
@@ -151,8 +154,8 @@ class Network : public Transport {
   void reset_crossings() { stats_ = CrossingStats{}; }
 
   /// Crossing totals across the legacy counters and every shard's — what
-  /// the sharded harness collects (identical to crossings() without an
-  /// engine). Summed shard 0..S-1; uint64 adds, so layout-independent.
+  /// run_scale collects (identical to crossings() without an engine).
+  /// Summed shard 0..S-1; uint64 adds, so layout-independent.
   CrossingStats total_crossings() const;
 
  private:

@@ -2,16 +2,15 @@
 
 #include <algorithm>
 #include <exception>
-#include <functional>
 #include <memory>
 #include <thread>
 #include <utility>
 
 #include "fault/oracle.hpp"
+#include "harness/group.hpp"
 #include "netio/clock.hpp"
 #include "netio/reactor.hpp"
 #include "obs/trace_recorder.hpp"
-#include "srm/srm_agent.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -19,34 +18,28 @@ namespace cesrm::netio {
 
 namespace {
 
-/// One group member: clock, reactor, socket pair, protocol agent — all
-/// confined to this member's thread once the run starts.
+/// One group member's endpoint: clock, reactor, socket pair and optional
+/// trace recorder — confined, with the member's agent, to this member's
+/// thread once the run starts.
 struct Member {
   net::NodeId node;
   MonotonicClock clock;
   Reactor reactor;
   SocketTransport transport;
-  std::unique_ptr<srm::SrmAgent> agent;
   std::unique_ptr<obs::TraceRecorder> recorder;
 
   Member(net::NodeId n, std::uint64_t epoch, const net::MulticastTree& tree,
-         const AddressPlan& plan, const LossShim& shim)
+         const AddressPlan& plan, const LossShim& shim, bool trace)
       : node(n),
         clock(epoch),
         reactor(clock),
-        transport(reactor, tree, plan, shim, n) {}
-};
-
-void add_crossings(net::CrossingStats* into, const net::CrossingStats& from) {
-  for (std::size_t i = 0; i < net::kPacketTypeCount; ++i) {
-    into->multicast[i] += from.multicast[i];
-    into->unicast[i] += from.unicast[i];
-    into->subcast[i] += from.subcast[i];
-    into->dropped[i] += from.dropped[i];
-    into->duplicated[i] += from.duplicated[i];
-    into->wire_bytes[i] += from.wire_bytes[i];
+        transport(reactor, tree, plan, shim, n) {
+    if (!trace) return;
+    recorder =
+        std::make_unique<obs::TraceRecorder>(obs::ObsConfig{.trace = true});
+    reactor.sim().set_recorder(recorder.get());
   }
-}
+};
 
 void check_rate(double rate, const char* flag) {
   CESRM_CHECK_MSG(rate >= 0.0 && rate < 1.0,
@@ -84,73 +77,38 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   plan.mcast_port = config.mcast_port;
   plan.unicast.assign(tree.size(), Endpoint{});
 
-  std::vector<net::NodeId> member_nodes;
-  member_nodes.push_back(source);
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-
   // Phase 1 (main thread): bind every socket, then publish the actual
   // ephemeral unicast ports into the shared plan. Setup failures (port in
-  // use, join refused) throw here, before any thread exists.
+  // use, join refused) throw here, before any thread exists. Members are
+  // in group order, so members[i] hosts group.agent(i).
   const std::uint64_t epoch = MonotonicClock::raw_ns();
   std::vector<std::unique_ptr<Member>> members;
-  members.reserve(member_nodes.size());
-  for (net::NodeId node : member_nodes)
-    members.push_back(
-        std::make_unique<Member>(node, epoch, tree, plan, shim));
+  std::vector<Member*> member_at(tree.size(), nullptr);
+  for (net::NodeId node : harness::Group::member_nodes(tree)) {
+    members.push_back(std::make_unique<Member>(node, epoch, tree, plan, shim,
+                                               config.observe_trace));
+    member_at[static_cast<std::size_t>(node)] = members.back().get();
+  }
   for (const auto& m : members)
     plan.unicast[static_cast<std::size_t>(m->node)] =
         m->transport.unicast_endpoint();
 
   // Phase 2 (main thread): agents + initial schedule. Everything is armed
-  // before the reactors run, so no agent is ever touched off-thread.
-  for (auto& m : members) {
-    util::Rng agent_rng = rng.fork(static_cast<std::uint64_t>(m->node) + 1);
-    if (config.protocol == Protocol::kCesrm) {
-      m->agent = std::make_unique<::cesrm::cesrm::CesrmAgent>(
-          m->reactor.sim(), m->transport, m->node, source, config.cesrm,
-          agent_rng);
-    } else {
-      m->agent = std::make_unique<srm::SrmAgent>(
-          m->reactor.sim(), m->transport, m->node, source, config.cesrm.srm,
-          agent_rng);
-    }
-    if (config.observe_trace) {
-      obs::ObsConfig obs_cfg;
-      obs_cfg.trace = true;
-      m->recorder = std::make_unique<obs::TraceRecorder>(obs_cfg);
-      m->reactor.sim().set_recorder(m->recorder.get());
-    }
-    const std::int64_t period_ms =
-        std::max<std::int64_t>(1, config.cesrm.srm.session_period.ns() /
-                                      1000000);
-    m->agent->start_session(
-        sim::SimTime::millis(rng.uniform_int(0, period_ms - 1)));
-  }
+  // before the reactors run, so no agent is ever touched off-thread. Each
+  // agent runs over its own member's reactor simulator and transport.
+  harness::Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
+    Member& m = *member_at[static_cast<std::size_t>(node)];
+    return harness::make_agent(config.protocol, m.reactor.sim(), m.transport,
+                               node, source, config.cesrm, agent_rng);
+  });
+  group.start_sessions(rng, config.cesrm.srm.session_period);
 
   // The Figure-4 workload: chained fixed-period transmission from the
-  // root, armed on the source reactor. The closure holds itself via a
-  // weak_ptr (the strong one lives in this frame past the join below).
-  auto sent = std::make_shared<net::SeqNo>(0);
-  auto send_next = std::make_shared<std::function<void(net::SeqNo)>>();
-  {
-    srm::SrmAgent* src_agent = members.front()->agent.get();
-    sim::Simulator* src_sim = &members.front()->reactor.sim();
-    const sim::SimTime period = config.period;
-    const net::SeqNo total = config.packets;
-    std::weak_ptr<std::function<void(net::SeqNo)>> weak = send_next;
-    *send_next = [src_agent, src_sim, period, total, sent,
-                  weak](net::SeqNo seq) {
-      src_agent->send_data(seq);
-      ++*sent;
-      if (seq + 1 < total)
-        src_sim->schedule_in(period, [weak, seq] {
-          if (const auto fn = weak.lock()) (*fn)(seq + 1);
-        });
-    };
-    src_sim->schedule_at(config.warmup, [weak] {
-      if (const auto fn = weak.lock()) (*fn)(0);
-    });
-  }
+  // root, armed on the source reactor.
+  harness::ChainedSource transmission(
+      members.front()->reactor.sim(), config.period, config.packets,
+      [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
+  transmission.start(config.warmup);
 
   // Phase 3: run. One thread per member until the shared wall horizon; a
   // throw anywhere stops every reactor and is rethrown after the join.
@@ -182,30 +140,22 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   // first — finish() inspects the want state finalize_stats() clears.
   if (config.check_invariants) {
     fault::InvariantOracle oracle(members.front()->reactor.sim(), tree);
-    for (const auto& m : members) oracle.add_member(m->node, m->agent.get());
-    oracle.finish(*sent, source);
+    for (std::size_t i = 0; i < group.size(); ++i)
+      oracle.add_member(group.node(i), &group.agent(i));
+    oracle.finish(transmission.sent(), source);
   }
 
   NetioRunResult out;
   harness::ExperimentResult& result = out.experiment;
   result.trace_name = "netio-loopback";
   result.protocol = config.protocol;
-  result.packets_sent = *sent;
+  result.packets_sent = transmission.sent();
+  result.members = group.collect();
   std::vector<obs::TraceEvent> merged_events;
   for (const auto& m : members) {
-    m->agent->stop_session();
-    m->agent->finalize_stats();
-    harness::MemberResult member;
-    member.node = m->node;
-    member.is_source = m->node == source;
-    member.failed = m->agent->failed();
-    member.stats = m->agent->stats();
-    member.rtt_to_source =
-        2.0 * m->transport.path_delay(m->node, source).to_seconds();
-    result.members.push_back(std::move(member));
     result.events_executed += m->reactor.sim().events_executed();
     result.sim_end = std::max(result.sim_end, m->reactor.sim().now());
-    add_crossings(&result.crossings, m->transport.crossings());
+    result.crossings += m->transport.crossings();
     out.sockets.push_back(m->transport.stats());
     if (m->recorder) {
       auto events = m->recorder->take_events();

@@ -12,6 +12,26 @@ namespace {
 /// UDP's payload ceiling; session frames grow with group size but a
 /// loopback run's stay far below this.
 constexpr std::size_t kMaxDatagram = 65535;
+
+/// True when every node id `pkt` names lies in `tree`. kInvalidNode passes:
+/// the decoder already rejected it wherever the packet type forbids it.
+bool names_tree_nodes(const net::Packet& pkt, const net::MulticastTree& tree) {
+  const auto ok = [size = tree.size()](net::NodeId v) {
+    return v == net::kInvalidNode ||
+           (v >= 0 && static_cast<std::size_t>(v) < size);
+  };
+  if (!ok(pkt.source) || !ok(pkt.sender) || !ok(pkt.dest) ||
+      !ok(pkt.ann.requestor) || !ok(pkt.ann.replier) ||
+      !ok(pkt.ann.turning_point))
+    return false;
+  if (pkt.session) {
+    for (const net::StreamAdvert& a : pkt.session->streams)
+      if (!ok(a.source)) return false;
+    for (const net::SessionEcho& e : pkt.session->echoes)
+      if (!ok(e.peer)) return false;
+  }
+  return true;
+}
 }  // namespace
 
 SocketTransport::SocketTransport(Reactor& reactor,
@@ -121,25 +141,27 @@ void SocketTransport::handle_datagram(std::span<const std::uint8_t> bytes,
     agent_->on_wire(bytes);
     return;
   }
+  if (!names_tree_nodes(pkt, tree_)) {
+    // Well-formed but foreign: its node ids would index past the tree
+    // tables the shim and the agent consult.
+    ++stats_.out_of_tree;
+    return;
+  }
   if (from_group && pkt.sender == self_) {
     ++stats_.self_filtered;
     return;
   }
   const sim::SimTime now = reactor_.clock().now();
-  const bool sender_known =
-      pkt.sender >= 0 && static_cast<std::size_t>(pkt.sender) < tree_.size();
-  LossShim::Verdict verdict;
-  if (sender_known)
-    verdict = shim_.crossing(pkt, pkt.sender, self_, now);
+  const LossShim::Verdict verdict =
+      shim_.crossing(pkt, pkt.sender, self_, now);
   if (verdict.drop) {
     ++stats_.shim_dropped;
     ++crossings_.dropped[static_cast<std::size_t>(pkt.type)];
     return;
   }
   std::vector<std::uint8_t> frame(bytes.begin(), bytes.end());
-  if (from_group && sender_known &&
-      (pkt.type == net::PacketType::kReply ||
-       pkt.type == net::PacketType::kExpReply)) {
+  if (from_group && (pkt.type == net::PacketType::kReply ||
+                     pkt.type == net::PacketType::kExpReply)) {
     // Router-assist parity with Network::arrive: multicast reply arrivals
     // carry this recipient's turning-point router (§3.3).
     pkt.ann.turning_point = tree_.lca(pkt.sender, self_);

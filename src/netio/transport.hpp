@@ -23,6 +23,8 @@
 //  1. decode (wire::decode_packet_exact). Malformed datagrams are handed
 //     to SrmAgent::on_wire untouched so the hardened-ingress counters and
 //     trace events fire exactly as they would for an in-memory frame;
+//     well-formed frames naming a node outside this member's tree are
+//     counted and dropped — the simulator never produces them;
 //  2. self-filter (group socket only);
 //  3. LossShim verdict over the sender→receiver tree path: drop, or
 //     delay = path delay + jitter, scheduled onto the reactor's simulator
@@ -76,6 +78,9 @@ struct SocketStats {
   /// Malformed datagrams (still forwarded to the agent's hardened ingress,
   /// where they are counted per DecodeErrorKind and dropped).
   std::uint64_t decode_failed = 0;
+  /// Well-formed frames naming a node id outside this member's tree;
+  /// dropped before the shim and the agent ever see them.
+  std::uint64_t out_of_tree = 0;
   std::uint64_t shim_dropped = 0;
   std::uint64_t delivered = 0;
 };

@@ -222,6 +222,8 @@ class SrmAgent : public net::Agent {
 
   net::NodeId node() const { return self_; }
   net::NodeId primary_source() const { return primary_source_; }
+  /// The transport this member sends over (and reads path delays from).
+  const net::Transport& transport() const { return net_; }
   /// True when this member originates `source`'s stream.
   bool originates(net::NodeId source) const { return source == self_; }
 

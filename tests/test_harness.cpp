@@ -1,10 +1,15 @@
 // Tests for the experiment harness and the figure/table report layer.
 #include <gtest/gtest.h>
 
+#include <cstdio>
+#include <sstream>
+#include <string>
+
 #include "harness/experiment.hpp"
 #include "harness/reports.hpp"
 #include "infer/link_estimator.hpp"
 #include "infer/link_trace.hpp"
+#include "obs/export.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/check.hpp"
 
@@ -186,6 +191,116 @@ TEST(Experiment, LossyRecoveryStillRecoversEverything) {
                 result.crossings.dropped[static_cast<std::size_t>(
                     net::PacketType::kRequest)],
             0u);
+}
+
+// ---------------------------------------------------------- golden runs ----
+
+/// Deep fingerprint of everything an experiment exports. Two runs with
+/// equal fingerprints are indistinguishable to every report, bench
+/// artifact, and figure in the repo.
+std::string fingerprint(const ExperimentResult& r) {
+  std::ostringstream os;
+  os << "exec=" << r.events_executed << " end=" << r.sim_end.ns()
+     << " sent=" << r.packets_sent << "\n";
+  for (const auto& m : r.members) {
+    os << "m " << m.node << (m.is_source ? " src" : "")
+       << (m.failed ? " failed" : "") << " rtt=" << m.rtt_to_source << " "
+       << m.stats.data_sent << " " << m.stats.session_sent << " "
+       << m.stats.requests_sent << " " << m.stats.replies_sent << " "
+       << m.stats.exp_requests_sent << " " << m.stats.exp_replies_sent << " "
+       << m.stats.exp_requests_cancelled << " "
+       << m.stats.duplicate_replies_received << " "
+       << m.stats.requests_received << " " << m.stats.losses_detected << " "
+       << m.stats.repairs_before_detection << " "
+       << m.stats.losses_abandoned_at_crash << " "
+       << m.stats.wire_packets_decoded << " " << m.stats.cache_hits << " "
+       << m.stats.cache_misses << " " << m.stats.retransmissions_suppressed
+       << "\n";
+    for (const auto& rec : m.stats.recoveries)
+      os << "  r " << rec.source << ":" << rec.seq << " "
+         << rec.detect_time.ns() << ".." << rec.recover_time.ns()
+         << (rec.recovered ? " ok" : " lost")
+         << (rec.expedited ? " exp" : "") << " rounds=" << rec.rounds << "\n";
+  }
+  const auto dump = [&os](const char* tag, const auto& arr) {
+    os << tag;
+    for (auto v : arr) os << " " << v;
+    os << "\n";
+  };
+  dump("multicast", r.crossings.multicast);
+  dump("unicast", r.crossings.unicast);
+  dump("subcast", r.crossings.subcast);
+  dump("dropped", r.crossings.dropped);
+  dump("duplicated", r.crossings.duplicated);
+  dump("wire_bytes", r.crossings.wire_bytes);
+  r.metrics.to_json(os);
+  os << "\n";
+  if (r.events) obs::write_events_jsonl(os, *r.events);
+  if (r.sketch) r.sketch->to_json(os);
+  return os.str();
+}
+
+/// FNV-1a over the fingerprint, as 16 hex digits.
+std::string digest(const std::string& text) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  for (unsigned char c : text) {
+    h ^= c;
+    h *= 0x100000001b3ULL;
+  }
+  char buf[17];
+  std::snprintf(buf, sizeof buf, "%016llx",
+                static_cast<unsigned long long>(h));
+  return buf;
+}
+
+ExperimentConfig golden_config(Protocol protocol) {
+  ExperimentConfig cfg;
+  cfg.protocol = protocol;
+  cfg.seed = 77;
+  cfg.max_packets = 1500;
+  return cfg;
+}
+
+// These digests pin run_experiment's exact output — RNG draw order, event
+// ordering, every counter and artifact. A change that moves one on purpose
+// must say why; a refactor must leave all three untouched.
+TEST(ExperimentGolden, SrmFaultFree) {
+  const auto& w = workload();
+  const auto r = run_experiment(*w.gen.loss, *w.links,
+                                golden_config(Protocol::kSrm));
+  EXPECT_EQ(r.packets_sent, 1500);
+  EXPECT_EQ(digest(fingerprint(r)), "3fcec757d136a9a6");
+}
+
+TEST(ExperimentGolden, CesrmFaultFree) {
+  const auto& w = workload();
+  const auto r = run_experiment(*w.gen.loss, *w.links,
+                                golden_config(Protocol::kCesrm));
+  EXPECT_EQ(r.packets_sent, 1500);
+  EXPECT_EQ(digest(fingerprint(r)), "0205d9045239cdc3");
+}
+
+TEST(ExperimentGolden, CesrmFaultedDurableLossyObserved) {
+  const auto& w = workload();
+  ExperimentConfig cfg = golden_config(Protocol::kCesrm);
+  cfg.faults.crashes.push_back(
+      {2, sim::SimTime::seconds(20), sim::SimTime::seconds(40)});
+  cfg.faults.crashes.push_back(
+      {5, sim::SimTime::seconds(30), sim::SimTime::infinity()});
+  cfg.faults.outages.push_back(
+      {0, 1, sim::SimTime::seconds(15), sim::SimTime::seconds(25)});
+  cfg.faults.pauses.push_back(
+      {sim::SimTime::seconds(35), sim::SimTime::seconds(38)});
+  cfg.durable.mode = durable::DurableMode::kWarm;
+  cfg.lossy_recovery = true;
+  cfg.observe.trace = true;
+  cfg.observe.metrics = true;
+  cfg.observe.stream = true;
+  const auto r = run_experiment(*w.gen.loss, *w.links, cfg);
+  EXPECT_EQ(r.packets_sent, 1500);
+  EXPECT_TRUE(r.members[6].failed);  // receiver rank 5 crash-stopped
+  EXPECT_NE(fingerprint(r).find("fault_applied"), std::string::npos);
+  EXPECT_EQ(digest(fingerprint(r)), "1df91a41a0103ed0");
 }
 
 // --------------------------------------------------------------- reports ----

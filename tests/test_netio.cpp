@@ -329,9 +329,11 @@ std::vector<std::uint8_t> parse_hex_file(const std::filesystem::path& path) {
 
 /// One live member on real sockets, driven deterministically enough for
 /// corpus replay: datagrams are pushed at its unicast endpoint from a
-/// plain socket and the reactor is polled until they surface.
+/// plain socket and the reactor is polled until they surface. The tree
+/// holds every node id the corpus frames name (up to the ok-session
+/// frame's stream advert from 7), with this member at leaf 1.
 struct LiveMember {
-  net::MulticastTree tree = net::parse_tree("0(1 2)");
+  net::MulticastTree tree = net::parse_tree("0(1 2 3 4 5 6 7)");
   AddressPlan plan;
   ShimConfig shim_cfg;
   std::unique_ptr<LossShim> shim;
@@ -349,8 +351,9 @@ struct LiveMember {
     shim = std::make_unique<LossShim>(tree, shim_cfg);
     transport =
         std::make_unique<SocketTransport>(reactor, tree, plan, *shim, 1);
-    plan.unicast[1] = transport->unicast_endpoint();
-    plan.unicast[2] = transport->unicast_endpoint();  // loop to self
+    for (net::NodeId leaf : tree.receivers())  // every member loops to self
+      plan.unicast[static_cast<std::size_t>(leaf)] =
+          transport->unicast_endpoint();
     agent = std::make_unique<srm::SrmAgent>(reactor.sim(), *transport, 1, 0,
                                             srm::SrmConfig{}, util::Rng(1));
   }
@@ -424,6 +427,37 @@ TEST(NetioWireCorpus, SocketReplayMatchesInMemoryVerdicts) {
   }
   EXPECT_GE(ok_frames, 6u);
   EXPECT_GE(bad_frames, 6u);
+  EXPECT_EQ(member.transport->stats().out_of_tree, 0u);
+}
+
+TEST(NetioWireCorpus, FramesNamingOutOfTreeNodesNeverReachTheAgent) {
+  LiveMember member(47564);
+  UdpSocket tx;
+  const auto& stats = member.agent->stats();
+  net::RecoveryAnnotation ann;
+  ann.requestor = 2;
+  ann.dist_requestor_source = 0.01;
+  ann.replier = 99;  // no such node: would index past the tree tables
+  ann.dist_replier_requestor = 0.01;
+  member.deliver(wire::encode_packet(net::make_reply_packet(99, 0, 3, ann)),
+                 tx);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(member.transport->stats().out_of_tree, 1u);
+  // Give a wrongly scheduled delivery time to surface: none may.
+  for (int i = 0; i < 10; ++i) member.reactor.poll_once(SimTime::millis(5));
+  EXPECT_EQ(stats.wire_packets_decoded, 0u);
+  EXPECT_EQ(stats.wire_decode_errors_total(), 0u);
+  EXPECT_EQ(member.transport->stats().delivered, 0u);
+
+  // The member keeps running: a well-formed in-tree reply still lands.
+  ann.replier = 5;
+  member.deliver(wire::encode_packet(net::make_reply_packet(5, 0, 3, ann)),
+                 tx);
+  if (::testing::Test::HasFatalFailure()) return;
+  for (int i = 0; i < 2000 && stats.wire_packets_decoded == 0; ++i)
+    member.reactor.poll_once(SimTime::millis(5));
+  EXPECT_EQ(stats.wire_packets_decoded, 1u);
+  EXPECT_EQ(member.transport->stats().out_of_tree, 1u);
 }
 
 // ------------------------------------------------- loopback full runs ----

@@ -8,6 +8,7 @@
 
 #include "net/network.hpp"
 #include "harness/experiment.hpp"
+#include "harness/group.hpp"
 #include "harness/reports.hpp"
 #include "infer/combination_solver.hpp"
 #include "infer/link_estimator.hpp"
@@ -362,13 +363,10 @@ TEST_P(LmsProperty, RecoversEveryLossOnRandomWorkloads) {
   lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
   lms::LmsConfig cfg;
   util::Rng rng(spec.seed);
-  std::vector<std::unique_ptr<lms::LmsAgent>> agents;
-  std::vector<net::NodeId> member_nodes{tree.root()};
-  for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-  for (net::NodeId nid : member_nodes)
-    agents.push_back(std::make_unique<lms::LmsAgent>(
-        sim, network, nid, tree.root(), cfg, directory,
-        rng.fork(static_cast<std::uint64_t>(nid) + 1)));
+  harness::Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
+    return std::make_unique<lms::LmsAgent>(sim, network, node, tree.root(),
+                                           cfg, directory, agent_rng);
+  });
   network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                           net::NodeId to) {
     if (pkt.type != net::PacketType::kData) return false;
@@ -376,33 +374,30 @@ TEST_P(LmsProperty, RecoversEveryLossOnRandomWorkloads) {
     const auto& drops = links.drop_links(pkt.seq);
     return std::binary_search(drops.begin(), drops.end(), to);
   });
-  for (auto& agent : agents)
-    agent->start_session(sim::SimTime::millis(rng.uniform_int(0, 999)));
+  group.start_sessions(rng, cfg.srm.session_period);
   const sim::SimTime warmup = sim::SimTime::seconds(5);
-  std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-    agents.front()->send_data(seq);
-    if (seq + 1 < spec.packets)
-      sim.schedule_in(gen.loss->period(),
-                      [&send_next, seq] { send_next(seq + 1); });
-  };
-  sim.schedule_at(warmup, [&send_next] { send_next(0); });
+  harness::ChainedSource transmission(
+      sim, gen.loss->period(), spec.packets,
+      [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
+  transmission.start(warmup);
   sim.run_until(warmup + gen.loss->period() * spec.packets +
                 sim::SimTime::seconds(60));
 
   // Completeness: every member holds every packet; no SRM recovery
   // traffic was ever multicast (LMS replaces it entirely).
   std::uint64_t losses_accounted = 0;
-  for (auto& agent : agents) {
-    agent->stop_session();
-    if (agent->node() == tree.root()) continue;
-    EXPECT_EQ(agent->outstanding_losses(), 0u) << "node " << agent->node();
+  for (std::size_t m = 0; m < group.size(); ++m) {
+    srm::SrmAgent& agent = group.agent(m);
+    agent.stop_session();
+    if (agent.node() == tree.root()) continue;
+    EXPECT_EQ(agent.outstanding_losses(), 0u) << "node " << agent.node();
     for (net::SeqNo i = 0; i < spec.packets; ++i)
-      ASSERT_TRUE(agent->has_packet(tree.root(), i))
-          << "node " << agent->node() << " seq " << i;
-    EXPECT_EQ(agent->stats().requests_sent, 0u);
-    EXPECT_EQ(agent->stats().replies_sent, 0u);
-    losses_accounted += agent->stats().losses_detected +
-                        agent->stats().repairs_before_detection;
+      ASSERT_TRUE(agent.has_packet(tree.root(), i))
+          << "node " << agent.node() << " seq " << i;
+    EXPECT_EQ(agent.stats().requests_sent, 0u);
+    EXPECT_EQ(agent.stats().replies_sent, 0u);
+    losses_accounted += agent.stats().losses_detected +
+                        agent.stats().repairs_before_detection;
   }
   EXPECT_EQ(losses_accounted, gen.loss->total_losses());
 }

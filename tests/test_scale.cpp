@@ -1,9 +1,11 @@
 // Scale-path suites: hierarchical session aggregation (bit-exact against
 // the flat O(N²) reference), struct-of-arrays ReceiverBlock semantics,
-// O(tree) session-packet growth, per-receiver memory accounting, and
-// shard-count invariance of the whole scale driver.
+// O(tree) session-packet growth, per-receiver memory accounting, shard-count
+// invariance of the whole run_scale path, and the sharded engine it runs
+// on.
 #include <gtest/gtest.h>
 
+#include <functional>
 #include <sstream>
 #include <string>
 
@@ -11,9 +13,11 @@
 #include "net/network.hpp"
 #include "net/packet.hpp"
 #include "net/topology_builder.hpp"
+#include "sim/sharded.hpp"
 #include "sim/simulator.hpp"
 #include "srm/receiver_block.hpp"
 #include "srm/session_aggregate.hpp"
+#include "util/check.hpp"
 #include "util/rng.hpp"
 
 namespace cesrm {
@@ -265,6 +269,42 @@ TEST(ScaleSharding, LegacyAndShardedAgreeOnOutcomes) {
   EXPECT_EQ(sharded.recovered, sharded.losses);
   EXPECT_EQ(sharded.outstanding, 0u);
   EXPECT_EQ(legacy.session_rounds, sharded.session_rounds);
+}
+
+// --------------------------------------------------- engine unit tests ----
+
+TEST(ShardedEngine, WindowsAdvanceAndMailboxesDeliver) {
+  // Two locations on two shards exchanging ping-pong events at exactly the
+  // lookahead spacing: every hop crosses shards through a mailbox.
+  sim::ShardedEngine engine({0, 1}, 2, sim::SimTime::millis(20));
+  int pings = 0;
+  std::function<void(int, int)> hop = [&](int from, int count) {
+    if (count == 0) return;
+    ++pings;
+    const int to = 1 - from;
+    engine.schedule_from(
+        from, to, engine.sim(from).now() + sim::SimTime::millis(20),
+        [&hop, to, count] { hop(to, count - 1); });
+  };
+  engine.sim(0).schedule_at(sim::SimTime::millis(1), [&hop] { hop(0, 50); });
+  engine.run_until(sim::SimTime::seconds(5));
+  EXPECT_EQ(pings, 50);
+  EXPECT_GT(engine.windows_run(), 0u);
+  EXPECT_EQ(engine.cross_shard_posts(), 50u);
+  EXPECT_EQ(engine.sim(0).now(), sim::SimTime::seconds(5));
+  EXPECT_EQ(engine.sim(1).now(), sim::SimTime::seconds(5));
+}
+
+TEST(ShardedEngine, RejectsPastCrossShardPosts) {
+  sim::ShardedEngine engine({0, 1}, 2, sim::SimTime::millis(20));
+  engine.sim(0).schedule_at(sim::SimTime::millis(5), [&engine] {
+    // A cross-shard event inside the current window would violate the
+    // lookahead contract; the engine must refuse rather than misorder.
+    EXPECT_THROW(engine.schedule_from(0, 1, engine.sim(0).now(),
+                                      [] {}),
+                 util::CheckError);
+  });
+  engine.run_until(sim::SimTime::millis(10));
 }
 
 }  // namespace

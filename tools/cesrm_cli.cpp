@@ -67,13 +67,12 @@
 #include <algorithm>
 #include <fstream>
 #include <iostream>
-
-#include <functional>
 #include <optional>
 #include <span>
 
 #include "durable/store.hpp"
 #include "harness/experiment.hpp"
+#include "harness/group.hpp"
 #include "harness/reports.hpp"
 #include "harness/runner.hpp"
 #include "infer/link_estimator.hpp"
@@ -345,7 +344,8 @@ int cmd_simulate(const util::CliFlags& flags) {
   harness::ExperimentConfig cfg = *maybe_cfg;
   const std::string protocol = flags.get_string("protocol");
   if (protocol == "lms") {
-    // LMS needs the shared router directory, so it is driven directly.
+    // LMS needs the shared router directory, so its group is built here
+    // with an LmsAgent factory rather than through run_experiment.
     const auto& tree = file.loss->tree();
     sim::Simulator sim;
     net::Network network(sim, tree, cfg.network);
@@ -353,13 +353,12 @@ int cmd_simulate(const util::CliFlags& flags) {
     lms::LmsConfig lms_cfg;
     lms_cfg.srm = cfg.cesrm.srm;
     util::Rng rng(cfg.seed);
-    std::vector<std::unique_ptr<lms::LmsAgent>> agents;
-    std::vector<net::NodeId> member_nodes{tree.root()};
-    for (net::NodeId r : tree.receivers()) member_nodes.push_back(r);
-    for (net::NodeId nid : member_nodes)
-      agents.push_back(std::make_unique<lms::LmsAgent>(
-          sim, network, nid, tree.root(), lms_cfg, directory,
-          rng.fork(static_cast<std::uint64_t>(nid) + 1)));
+    harness::Group group(tree, rng,
+                         [&](net::NodeId node, util::Rng agent_rng) {
+                           return std::make_unique<lms::LmsAgent>(
+                               sim, network, node, tree.root(), lms_cfg,
+                               directory, agent_rng);
+                         });
     network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                             net::NodeId to) {
       if (pkt.type != net::PacketType::kData) return false;
@@ -367,35 +366,27 @@ int cmd_simulate(const util::CliFlags& flags) {
       const auto& drops = links.drop_links(pkt.seq);
       return std::binary_search(drops.begin(), drops.end(), to);
     });
-    for (auto& agent : agents)
-      agent->start_session(sim::SimTime::millis(rng.uniform_int(0, 999)));
+    group.start_sessions(rng, lms_cfg.srm.session_period);
     const sim::SimTime warmup = sim::SimTime::seconds(5);
     const net::SeqNo packets = file.loss->packet_count();
-    std::function<void(net::SeqNo)> send_next = [&](net::SeqNo seq) {
-      agents.front()->send_data(seq);
-      if (seq + 1 < packets)
-        sim.schedule_in(file.loss->period(),
-                        [&send_next, seq] { send_next(seq + 1); });
-    };
-    sim.schedule_at(warmup, [&send_next] { send_next(0); });
+    harness::ChainedSource transmission(
+        sim, file.loss->period(), packets,
+        [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
+    transmission.start(warmup);
     sim.run_until(warmup + file.loss->period() * packets +
                   sim::SimTime::seconds(60));
     util::OnlineStats latency;
     std::uint64_t unrecovered = 0, lms_requests = 0, lms_replies = 0;
-    for (auto& agent : agents) {
-      agent->stop_session();
-      agent->finalize_stats();
-      lms_requests += agent->stats().exp_requests_sent;
-      lms_replies += agent->stats().exp_replies_sent;
-      if (agent->node() == tree.root()) continue;
-      const double rtt =
-          2.0 * network.path_delay(agent->node(), tree.root()).to_seconds();
-      for (const auto& r : agent->stats().recoveries) {
+    for (const harness::MemberResult& m : group.collect()) {
+      lms_requests += m.stats.exp_requests_sent;
+      lms_replies += m.stats.exp_replies_sent;
+      if (m.is_source) continue;
+      for (const auto& r : m.stats.recoveries) {
         if (!r.recovered) {
           ++unrecovered;
           continue;
         }
-        latency.add(r.latency_seconds() / rtt);
+        latency.add(r.latency_seconds() / m.rtt_to_source);
       }
     }
     std::cout << "LMS on " << file.loss->name() << ":\n"
