@@ -16,7 +16,8 @@ void add_common_flags(util::CliFlags& flags,
                    "comma-separated Table-1 trace ids (1-14) or 'all'");
   flags.add_int("packets-cap", 0,
                 "cap packets per trace (0 = full trace; loss budget scales)");
-  flags.add_int("link-delay-ms", 20, "one-way link delay (paper: 10/20/30)");
+  flags.add_int("link-delay-ms", 20,
+                "one-way link delay, >= 1 (paper: 10/20/30)");
   flags.add_int("seed", 1, "experiment seed (timer jitter streams)");
   flags.add_bool("lossy-recovery", false,
                  "also drop recovery packets per estimated link rates");
@@ -24,12 +25,6 @@ void add_common_flags(util::CliFlags& flags,
                 "parallel experiment workers (0 = hardware concurrency)");
   flags.add_string("json", "",
                    "also write machine-readable results to this file");
-  flags.add_bool("wire-bytes", false,
-                 "also report overhead in encoded wire bytes (v1 codec "
-                 "frame sizes; bench_fig5_overhead)");
-  flags.add_bool("mem", false,
-                 "sample peak RSS (VmHWM) after the sweep and emit a "
-                 "\"mem\" object into the --json artifact");
   flags.add_string("trace-out", "",
                    "write the protocol-event trace here (Chrome trace_event "
                    "JSON; JSONL when the path ends in .jsonl)");
@@ -54,22 +49,33 @@ void add_common_flags(util::CliFlags& flags,
                    "log threshold: trace|debug|info|warn|error|off");
 }
 
+bool parse_trace_ids(const std::string& text, std::vector<int>* out) {
+  if (text == "all") {
+    for (int i = 1; i <= 14; ++i) out->push_back(i);
+    return true;
+  }
+  for (const auto& tok : util::split(text, ',')) {
+    const auto id = util::parse_int(tok);
+    if (!id || *id < 1 || *id > 14) {
+      std::cerr << "bad trace id: '" << tok << "'\n";
+      return false;
+    }
+    out->push_back(static_cast<int>(*id));
+  }
+  return true;
+}
+
 bool read_common_flags(const util::CliFlags& flags, BenchOptions* out) {
   const std::string traces = flags.get_string("traces");
-  if (traces == "all") {
-    for (int i = 1; i <= 14; ++i) out->trace_ids.push_back(i);
-  } else {
-    for (const auto& tok : util::split(traces, ',')) {
-      const auto id = util::parse_int(tok);
-      if (!id || *id < 1 || *id > 14) {
-        std::cerr << "bad trace id: '" << tok << "'\n";
-        return false;
-      }
-      out->trace_ids.push_back(static_cast<int>(*id));
-    }
-  }
+  if (!traces.empty() && !parse_trace_ids(traces, &out->trace_ids))
+    return false;
   out->packets_cap = flags.get_int("packets-cap");
-  out->link_delay_ms = static_cast<int>(flags.get_int("link-delay-ms"));
+  const std::int64_t link_delay_ms = flags.get_int("link-delay-ms");
+  if (link_delay_ms < 1) {
+    std::cerr << "bad --link-delay-ms: " << link_delay_ms << " (want >= 1)\n";
+    return false;
+  }
+  out->link_delay_ms = static_cast<int>(link_delay_ms);
   out->seed = static_cast<std::uint64_t>(flags.get_int("seed"));
   const std::int64_t jobs = flags.get_int("jobs");
   if (jobs < 0) {
@@ -78,8 +84,6 @@ bool read_common_flags(const util::CliFlags& flags, BenchOptions* out) {
   }
   out->jobs = static_cast<unsigned>(jobs);
   out->json_path = flags.get_string("json");
-  out->wire_bytes = flags.get_bool("wire-bytes");
-  out->mem = flags.get_bool("mem");
   out->base.seed = out->seed;
   out->base.network.link_delay = sim::SimTime::millis(out->link_delay_ms);
   out->base.lossy_recovery = flags.get_bool("lossy-recovery");
@@ -344,29 +348,9 @@ std::string peak_rss_json_value() {
 void write_json(const BenchOptions& opts,
                 const harness::JsonResultSink& sink) {
   if (opts.json_path.empty()) return;
-  if (!opts.mem) {
-    if (sink.write_file(opts.json_path)) {
-      std::cerr << "wrote " << sink.size() << " results to " << opts.json_path
-                << "\n";
-    } else {
-      std::cerr << "error: could not write " << opts.json_path << "\n";
-    }
-    return;
-  }
-  // --mem: splice a "mem" object in front of the document's closing brace
-  // so the artifact stays one JSON value.
-  std::string doc = sink.document();
-  const std::size_t close = doc.rfind('}');
-  if (close != std::string::npos) {
-    std::string mem = ",\"mem\":{\"peak_rss_bytes\":";
-    mem += peak_rss_json_value();
-    mem += "}";
-    doc.insert(close, mem);
-  }
-  std::ofstream out(opts.json_path);
-  if (out && (out << doc)) {
+  if (sink.write_file(opts.json_path)) {
     std::cerr << "wrote " << sink.size() << " results to " << opts.json_path
-              << " (with mem)\n";
+              << "\n";
   } else {
     std::cerr << "error: could not write " << opts.json_path << "\n";
   }

@@ -1,11 +1,11 @@
-// bench_common.hpp — shared machinery for the figure/table bench binaries.
+// bench_common.hpp — shared machinery for the trace-driven bench binaries.
 //
 // Every bench reenacts Table-1 traces: generate (§4.1 substitute), infer
 // drop links (§4.2), run SRM and CESRM (§4.3), and print the series the
-// corresponding paper figure plots. All benches sweep through the parallel
-// ExperimentRunner: traces are generated once into a shared cache and the
-// (trace × protocol × variant) jobs fan out over --jobs worker threads
-// (default: hardware concurrency). Results are deterministic and
+// paper's tables and figures report. All benches sweep through the
+// parallel ExperimentRunner: traces are generated once into a shared cache
+// and the (trace × protocol × variant) jobs fan out over --jobs worker
+// threads (default: hardware concurrency). Results are deterministic and
 // byte-identical for any --jobs value, including 1. The common flags let a
 // user trim the sweep (--traces=1,4,7), cap packets per trace
 // (--packets-cap=20000), change the link delay (§4.3 ran 10/20/30 ms), or
@@ -44,7 +44,7 @@ struct TraceRun {
 };
 
 /// Accumulates observability artifacts across every run_jobs() call of a
-/// bench invocation (some benches sweep in several batches). Captures are
+/// bench invocation (bench_faults sweeps in two batches). Captures are
 /// appended and metrics merged strictly in job order; the output files are
 /// rewritten after each batch, so the last batch leaves them complete.
 struct ObsAccumulator {
@@ -92,18 +92,10 @@ bool parse_slo(const std::string& text, std::vector<SloSpec>* out);
 struct BenchOptions {
   std::vector<int> trace_ids;      // which Table-1 traces to run
   net::SeqNo packets_cap = 0;      // 0 = full trace
-  int link_delay_ms = 20;
+  int link_delay_ms = 20;          // >= 1
   std::uint64_t seed = 1;
   unsigned jobs = 0;               // worker threads; 0 = hardware
   std::string json_path;           // --json=FILE ("" = no JSON output)
-  /// --wire-bytes: benches that understand it (bench_fig5_overhead) also
-  /// report overhead in encoded wire bytes (the v1 codec frame sizes).
-  /// Off by default — default stdout stays byte-identical.
-  bool wire_bytes = false;
-  /// --mem: sample the process peak RSS (Linux VmHWM) after the sweep and
-  /// emit a "mem" object into the --json artifact. Off by default so the
-  /// default artifact bytes are unchanged.
-  bool mem = false;
   harness::ExperimentConfig base;  // assembled from the flags
   /// Non-null when --trace-out/--metrics-out/--stream-out asked for
   /// artifacts; shared so run_jobs can accumulate through the const
@@ -121,7 +113,7 @@ struct BenchOptions {
 /// main with `return slo_exit(opts);`.
 int slo_exit(const BenchOptions& opts);
 
-/// Renders util::peak_rss_bytes() for a --mem JSON artifact: the byte
+/// Renders util::peak_rss_bytes() for bench_scale's --mem artifact: the byte
 /// count, or "null" — with a one-line warning on stderr — when VmHWM is
 /// unavailable (non-Linux hosts, restricted /proc). Never a silent 0: a
 /// fake measurement poisons bench_diff comparisons.
@@ -130,8 +122,13 @@ std::string peak_rss_json_value();
 /// Registers the common flags on `flags`.
 void add_common_flags(util::CliFlags& flags, const std::string& default_traces);
 
-/// Builds BenchOptions from parsed flags; returns false on bad input.
+/// Builds BenchOptions from parsed flags; returns false on bad input. An
+/// empty --traces leaves trace_ids empty for the bench to fill.
 bool read_common_flags(const util::CliFlags& flags, BenchOptions* out);
+
+/// Appends the Table-1 ids of a --traces value ("all" or "1,4,7") to
+/// `out`; returns false (with a stderr message) on a bad id.
+bool parse_trace_ids(const std::string& text, std::vector<int>* out);
 
 /// The capped Table-1 specs selected by opts.trace_ids, in order.
 std::vector<trace::TraceSpec> selected_specs(const BenchOptions& opts);

@@ -122,7 +122,7 @@ BENCHMARK(BM_MulticastFlood)->Arg(8)->Arg(15)->Arg(64);
 void BM_Table1SweepE2E(benchmark::State& state) {
   // End-to-end wall time of a capped Table-1 sweep (trace generation
   // cached across iterations by the runner's TraceCache shape: we prepare
-  // once and measure simulation + dispatch, like bench_fig1_recovery).
+  // once and measure simulation + dispatch, like bench_paper's sweep).
   const auto spec = [&] {
     trace::TraceSpec s = trace::table1_spec(static_cast<int>(state.range(0)));
     const double scale = 2000.0 / static_cast<double>(s.packets);

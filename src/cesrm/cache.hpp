@@ -43,21 +43,17 @@ class RecoveryCache {
 
   /// §3.1 update on receiving a reply for a packet this host lost:
   /// keep the optimal tuple per packet; replacement is the policy's.
-  /// Returns true if the cache changed. `now` feeds time-aware policies
-  /// (TTL, LRU); the default suits time-blind callers such as tests.
-  bool update(const RecoveryTuple& tuple,
-              sim::SimTime now = sim::SimTime::zero());
+  /// Returns true if the cache changed.
+  bool update(const RecoveryTuple& tuple);
 
   /// §3.2 selection for a fresh loss of `lost_seq`: applies the
   /// expedition policy through the cache policy (which may use the lost
-  /// sequence — the oracle does), counts the hit or miss in stats(), and
-  /// lets access-aware policies observe the touch.
+  /// sequence — the oracle does) and counts the hit or miss in stats().
   std::optional<RecoveryTuple> select(ExpeditionPolicy how,
-                                      net::SeqNo lost_seq,
-                                      sim::SimTime now = sim::SimTime::zero());
+                                      net::SeqNo lost_seq);
 
   /// The tuple of the most recent recovered loss; nullopt when empty.
-  /// Read-only: no stats, no access bookkeeping (diagnostics-safe).
+  /// Read-only: no stats (diagnostics-safe).
   std::optional<RecoveryTuple> most_recent() const;
 
   /// The tuple of the (q, r) pair appearing most frequently among cached

@@ -11,12 +11,9 @@ namespace cesrm::cesrm {
 
 namespace {
 
-constexpr util::EnumNames<CachePolicyKind, 7> kCachePolicyNames{
+constexpr util::EnumNames<CachePolicyKind, 4> kCachePolicyNames{
     "cache policy",
     {{{CachePolicyKind::kRecency, "recency"},
-      {CachePolicyKind::kLru, "lru"},
-      {CachePolicyKind::kLfu, "lfu"},
-      {CachePolicyKind::kTtl, "ttl"},
       {CachePolicyKind::kConfidence, "confidence"},
       {CachePolicyKind::kSharded, "sharded"},
       {CachePolicyKind::kOracle, "oracle"}}}};
@@ -87,7 +84,7 @@ class RecencyPolicy : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
+  bool do_update(const RecoveryTuple& tuple) override {
     if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
       // Already cached: keep the optimal pair for this packet.
       if (tuple.recovery_delay() < it->second.recovery_delay()) {
@@ -114,239 +111,12 @@ class RecencyPolicy : public CachePolicy {
     return true;
   }
 
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
+  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
+                                         net::SeqNo) override {
     return dispatch(*this, how);
   }
 
   std::map<net::SeqNo, RecoveryTuple> entries_;  // keyed by packet seq
-};
-
-// ---------------------------------------------------------------------------
-// lru — replacement by access recency instead of packet recency: every
-// update or selection touch refreshes a tuple's use clock, and a full
-// cache evicts the least recently used tuple (old packets whose pair
-// keeps getting picked stay cached; recency's older-than-all admission
-// filter does not apply).
-
-class LruPolicy final : public CachePolicy {
- public:
-  explicit LruPolicy(std::size_t capacity) : CachePolicy(capacity) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    ++clock_;
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      it->second.last_use = clock_;
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second.tuple = tuple;
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it)
-        if (it->second.last_use < victim->second.last_use) victim = it;
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, clock_});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
-    auto picked = dispatch(*this, how);
-    if (picked) {
-      ++clock_;
-      if (auto it = entries_.find(picked->seq); it != entries_.end())
-        it->second.last_use = clock_;
-    }
-    return picked;
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    std::uint64_t last_use = 0;
-  };
-  std::map<net::SeqNo, Entry> entries_;
-  std::uint64_t clock_ = 0;  ///< logical use clock (ties broke by age)
-};
-
-// ---------------------------------------------------------------------------
-// lfu — replacement by access frequency: a tuple's count rises on every
-// update attempt and selection; a full cache evicts the least frequently
-// used tuple, ties breaking toward the older packet.
-
-class LfuPolicy final : public CachePolicy {
- public:
-  explicit LfuPolicy(std::size_t capacity) : CachePolicy(capacity) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      ++it->second.freq;
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second.tuple = tuple;
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      // Evict the lowest-frequency tuple; map order makes the tie-break
-      // (older packet) deterministic.
-      auto victim = entries_.begin();
-      for (auto it = entries_.begin(); it != entries_.end(); ++it)
-        if (it->second.freq < victim->second.freq) victim = it;
-      entries_.erase(victim);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, 1});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
-    auto picked = dispatch(*this, how);
-    if (picked) {
-      if (auto it = entries_.find(picked->seq); it != entries_.end())
-        ++it->second.freq;
-    }
-    return picked;
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    std::uint64_t freq = 0;
-  };
-  std::map<net::SeqNo, Entry> entries_;
-};
-
-// ---------------------------------------------------------------------------
-// ttl — recency plus lazy expiry: tuples stored longer than the TTL are
-// swept on the next update or selection, so a pair that stopped being
-// refreshed (its replier left, the loss locus moved) cannot keep steering
-// expedited recoveries indefinitely.
-
-class TtlPolicy final : public CachePolicy {
- public:
-  TtlPolicy(std::size_t capacity, sim::SimTime ttl)
-      : CachePolicy(capacity), ttl_(ttl) {}
-
-  std::optional<RecoveryTuple> most_recent() const override {
-    if (entries_.empty()) return std::nullopt;
-    return entries_.rbegin()->second.tuple;
-  }
-
-  std::optional<RecoveryTuple> most_frequent() const override {
-    std::vector<const RecoveryTuple*> by_seq;
-    by_seq.reserve(entries_.size());
-    for (const auto& [seq, e] : entries_) by_seq.push_back(&e.tuple);
-    return most_frequent_of(by_seq);
-  }
-
-  std::size_t size() const override { return entries_.size(); }
-
-  void snapshot(std::vector<RecoveryTuple>* out) const override {
-    for (const auto& [seq, e] : entries_) out->push_back(e.tuple);
-  }
-
- protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime now) override {
-    expire(now);
-    if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
-      if (tuple.recovery_delay() < it->second.tuple.recovery_delay()) {
-        it->second = Entry{tuple, now};
-        ++stats_.updates;
-        return true;
-      }
-      ++stats_.rejects;
-      return false;
-    }
-    if (entries_.size() >= capacity_) {
-      const auto oldest = entries_.begin();
-      if (tuple.seq < oldest->first) {
-        ++stats_.rejects;
-        return false;
-      }
-      entries_.erase(oldest);
-      ++stats_.evictions;
-    }
-    entries_.emplace(tuple.seq, Entry{tuple, now});
-    ++stats_.insertions;
-    return true;
-  }
-
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime now) override {
-    expire(now);
-    return dispatch(*this, how);
-  }
-
- private:
-  struct Entry {
-    RecoveryTuple tuple;
-    sim::SimTime stored_at;
-  };
-
-  void expire(sim::SimTime now) {
-    for (auto it = entries_.begin(); it != entries_.end();) {
-      if (now - it->second.stored_at > ttl_) {
-        it = entries_.erase(it);
-        ++stats_.expirations;
-      } else {
-        ++it;
-      }
-    }
-  }
-
-  sim::SimTime ttl_;
-  std::map<net::SeqNo, Entry> entries_;
 };
 
 // ---------------------------------------------------------------------------
@@ -380,7 +150,7 @@ class ConfidencePolicy final : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
+  bool do_update(const RecoveryTuple& tuple) override {
     const double weight = weight_of(tuple);
     if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
       // Same packet: a more trusted tuple wins; equal trust falls back to
@@ -411,8 +181,8 @@ class ConfidencePolicy final : public CachePolicy {
     return true;
   }
 
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
+  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
+                                         net::SeqNo) override {
     return dispatch(*this, how);
   }
 
@@ -498,12 +268,12 @@ class ShardedPolicy final : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime now) override {
-    return shards_[shard_of(tuple)]->update(tuple, now);
+  bool do_update(const RecoveryTuple& tuple) override {
+    return shards_[shard_of(tuple)]->update(tuple);
   }
 
-  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how, net::SeqNo,
-                                         sim::SimTime) override {
+  std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
+                                         net::SeqNo) override {
     return dispatch(*this, how);
   }
 
@@ -553,7 +323,7 @@ class OraclePolicy final : public CachePolicy {
   }
 
  protected:
-  bool do_update(const RecoveryTuple& tuple, sim::SimTime) override {
+  bool do_update(const RecoveryTuple& tuple) override {
     if (auto it = entries_.find(tuple.seq); it != entries_.end()) {
       if (tuple.recovery_delay() < it->second.recovery_delay()) {
         it->second = tuple;
@@ -583,8 +353,7 @@ class OraclePolicy final : public CachePolicy {
   }
 
   std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
-                                         net::SeqNo lost_seq,
-                                         sim::SimTime) override {
+                                         net::SeqNo lost_seq) override {
     if (side_ && lost_seq != net::kNoSeq) {
       const net::LinkId link = side_->drop_link(owner_, source_, lost_seq);
       if (link != net::kInvalidLink) {
@@ -643,17 +412,16 @@ bool cache_policy_needs_side_info(CachePolicyKind kind) {
 
 const char* cache_policies_needing_side_info() { return "confidence, oracle"; }
 
-bool CachePolicy::update(const RecoveryTuple& tuple, sim::SimTime now) {
+bool CachePolicy::update(const RecoveryTuple& tuple) {
   CESRM_CHECK(tuple.seq >= 0);
   CESRM_CHECK(tuple.requestor != net::kInvalidNode);
   CESRM_CHECK(tuple.replier != net::kInvalidNode);
-  return do_update(tuple, now);
+  return do_update(tuple);
 }
 
 std::optional<RecoveryTuple> CachePolicy::select(ExpeditionPolicy how,
-                                                 net::SeqNo lost_seq,
-                                                 sim::SimTime now) {
-  auto picked = do_select(how, lost_seq, now);
+                                                 net::SeqNo lost_seq) {
+  auto picked = do_select(how, lost_seq);
   if (picked)
     ++stats_.hits;
   else
@@ -668,12 +436,6 @@ std::unique_ptr<CachePolicy> make_cache_policy(const CacheConfig& config,
   switch (config.policy) {
     case CachePolicyKind::kRecency:
       return std::make_unique<RecencyPolicy>(config.capacity);
-    case CachePolicyKind::kLru:
-      return std::make_unique<LruPolicy>(config.capacity);
-    case CachePolicyKind::kLfu:
-      return std::make_unique<LfuPolicy>(config.capacity);
-    case CachePolicyKind::kTtl:
-      return std::make_unique<TtlPolicy>(config.capacity, config.ttl);
     case CachePolicyKind::kConfidence:
       return std::make_unique<ConfidencePolicy>(
           config.capacity, config.side_info, owner, source);

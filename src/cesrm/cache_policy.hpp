@@ -8,12 +8,6 @@
 // DEC-TR-592 cache-policy comparison) can be evaluated against it:
 //
 //   recency     — the paper's scheme, bit-exact with the legacy cache;
-//   lru         — evict the least-recently-*accessed* tuple (access =
-//                 update or selection), not the least recent packet;
-//   lfu         — evict the least-frequently-accessed tuple, ties to the
-//                 older packet;
-//   ttl         — recency plus lazy expiry of tuples older than a TTL
-//                 (stale pairs stop steering expedited recoveries);
 //   confidence  — weight each tuple by the §4.2 inference posterior of
 //                 the loss it recovered; evict the least-trusted tuple
 //                 and refuse to displace trusted ones with weaker ones;
@@ -40,7 +34,6 @@
 
 #include "net/ids.hpp"
 #include "net/packet.hpp"
-#include "sim/time.hpp"
 
 namespace cesrm::cesrm {
 
@@ -81,18 +74,17 @@ struct RecoveryTuple {
 
 enum class CachePolicyKind {
   kRecency,     ///< legacy §3.1 behavior (the default)
-  kLru,
-  kLfu,
-  kTtl,
   kConfidence,
   kSharded,
   kOracle,
 };
 
-inline constexpr std::array<CachePolicyKind, 7> kAllCachePolicyKinds = {
-    CachePolicyKind::kRecency,    CachePolicyKind::kLru,
-    CachePolicyKind::kLfu,        CachePolicyKind::kTtl,
-    CachePolicyKind::kConfidence, CachePolicyKind::kSharded,
+/// Every policy, recency first and oracle last (bench_cache_policies
+/// compares those two).
+inline constexpr std::array<CachePolicyKind, 4> kAllCachePolicyKinds = {
+    CachePolicyKind::kRecency,
+    CachePolicyKind::kConfidence,
+    CachePolicyKind::kSharded,
     CachePolicyKind::kOracle,
 };
 
@@ -148,8 +140,6 @@ struct CacheConfig {
   CachePolicyKind policy = CachePolicyKind::kRecency;
   /// Per-source cache capacity, >= 1 (shared across shards for kSharded).
   std::size_t capacity = 16;
-  /// kTtl: tuples stored longer than this are lazily expired.
-  sim::SimTime ttl = sim::SimTime::seconds(30);
   /// kSharded: number of per-subtree sub-caches, >= 1.
   std::size_t shards = 4;
   /// Non-owning; must outlive the caches. Consulted by kConfidence and
@@ -165,7 +155,6 @@ struct CacheStats {
   std::uint64_t insertions = 0;   ///< tuples newly admitted
   std::uint64_t updates = 0;      ///< same-packet tuples improved in place
   std::uint64_t evictions = 0;    ///< tuples displaced by replacement
-  std::uint64_t expirations = 0;  ///< tuples dropped by TTL expiry
   std::uint64_t rejects = 0;      ///< update attempts refused admission
 
   CacheStats& operator+=(const CacheStats& o) {
@@ -174,7 +163,6 @@ struct CacheStats {
     insertions += o.insertions;
     updates += o.updates;
     evictions += o.evictions;
-    expirations += o.expirations;
     rejects += o.rejects;
     return *this;
   }
@@ -193,17 +181,16 @@ class CachePolicy {
   CachePolicy& operator=(const CachePolicy&) = delete;
 
   /// §3.1 update on a reply for a packet this host lost. Returns true if
-  /// the cache changed. `now` feeds time-aware policies (TTL, LRU).
-  bool update(const RecoveryTuple& tuple, sim::SimTime now);
+  /// the cache changed.
+  bool update(const RecoveryTuple& tuple);
 
   /// Applies the expedition policy for a fresh loss of `lost_seq`;
-  /// nullopt when the cache has nothing to offer. Counts hits/misses and
-  /// lets access-aware policies (LRU, LFU) observe the touch.
+  /// nullopt when the cache has nothing to offer. Counts hits/misses.
   std::optional<RecoveryTuple> select(ExpeditionPolicy how,
-                                      net::SeqNo lost_seq, sim::SimTime now);
+                                      net::SeqNo lost_seq);
 
-  /// Read-only §3.2 selectors (no stats, no access bookkeeping) — used by
-  /// diagnostics and the fault oracle, which must not perturb the cache.
+  /// Read-only §3.2 selectors (no stats) — used by diagnostics and the
+  /// fault oracle, which must not perturb the cache.
   virtual std::optional<RecoveryTuple> most_recent() const = 0;
   virtual std::optional<RecoveryTuple> most_frequent() const = 0;
 
@@ -217,10 +204,9 @@ class CachePolicy {
   virtual CacheStats stats() const { return stats_; }
 
  protected:
-  virtual bool do_update(const RecoveryTuple& tuple, sim::SimTime now) = 0;
+  virtual bool do_update(const RecoveryTuple& tuple) = 0;
   virtual std::optional<RecoveryTuple> do_select(ExpeditionPolicy how,
-                                                 net::SeqNo lost_seq,
-                                                 sim::SimTime now) = 0;
+                                                 net::SeqNo lost_seq) = 0;
 
   std::size_t capacity_;
   CacheStats stats_;

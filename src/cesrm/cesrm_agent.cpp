@@ -76,7 +76,7 @@ void CesrmAgent::restore_cache_tuple(net::NodeId source,
   anchored.dist_replier_requestor = distance_to(tuple.replier);
   if (anchored.dist_replier_requestor > anchored.dist_requestor_source)
     return;
-  mutable_cache(source).update(anchored, sim_.now());
+  mutable_cache(source).update(anchored);
 }
 
 void CesrmAgent::finalize_stats() {
@@ -87,7 +87,6 @@ void CesrmAgent::finalize_stats() {
   stats_.cache_insertions = total.insertions;
   stats_.cache_updates = total.updates;
   stats_.cache_evictions = total.evictions;
-  stats_.cache_expirations = total.expirations;
   stats_.cache_rejects = total.rejects;
 }
 
@@ -106,8 +105,8 @@ void CesrmAgent::on_loss_detected(WantState& want) {
   // Consult the lost packet's per-source cache: if the selected pair names
   // us as the expeditious requestor, arm the expedited request
   // (REORDER-DELAY in the future).
-  const auto pair = mutable_cache(want.source)
-                        .select(cesrm_config_.policy, want.seq, sim_.now());
+  const auto pair =
+      mutable_cache(want.source).select(cesrm_config_.policy, want.seq);
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(),
               pair ? obs::EventKind::kCacheHit : obs::EventKind::kCacheMiss,
@@ -164,8 +163,8 @@ void CesrmAgent::on_reply_observed(const net::Packet& pkt) {
       pkt.ann.replier == net::kInvalidNode)
     return;
   RecoveryCache& cache = mutable_cache(pkt.source);
-  const bool changed = cache.update(
-      RecoveryTuple::from_annotation(pkt.seq, pkt.ann), sim_.now());
+  const bool changed =
+      cache.update(RecoveryTuple::from_annotation(pkt.seq, pkt.ann));
   if (!changed) return;
   if (auto* rec = sim_.recorder())
     // detail: per-source occupancy after the admit — the Chrome exporter

@@ -302,7 +302,6 @@ ExperimentResult run_experiment_impl(
           cache_totals.insertions += m.stats.cache_insertions;
           cache_totals.updates += m.stats.cache_updates;
           cache_totals.evictions += m.stats.cache_evictions;
-          cache_totals.expirations += m.stats.cache_expirations;
           cache_totals.rejects += m.stats.cache_rejects;
         }
         reg.add("cache.hits", cache_totals.hits);
@@ -310,7 +309,6 @@ ExperimentResult run_experiment_impl(
         reg.add("cache.insertions", cache_totals.insertions);
         reg.add("cache.updates", cache_totals.updates);
         reg.add("cache.evictions", cache_totals.evictions);
-        reg.add("cache.expirations", cache_totals.expirations);
         reg.add("cache.rejects", cache_totals.rejects);
       }
       // Durable-store counters. Only when durability is on: with the

@@ -87,7 +87,7 @@ Fig5Stats figure5(const ExperimentResult& srm, const ExperimentResult& cesrm);
 /// crossing — rather than crossing counts. Counting bytes weighs each
 /// category by its actual frame size (a 28-byte expedited annotation vs. a
 /// 12-byte request annotation vs. 1 KB payloads), which crossing counts
-/// flatten. Rendered by `bench_fig5_overhead --wire-bytes`.
+/// flatten. Rendered in the Figure 5 section of `bench_paper`.
 struct Fig5WireStats {
   std::string trace_name;
   std::uint64_t srm_retrans_bytes = 0;    ///< REPL bytes crossed (SRM)

@@ -114,24 +114,6 @@ std::size_t TraceCache::size() const {
   return entries_.size();
 }
 
-// ------------------------------------------------------------ seeds --------
-
-std::uint64_t derive_job_seed(std::uint64_t base_seed,
-                              const std::string& trace_name,
-                              Protocol protocol) {
-  // FNV-1a over the identity, finalized with a SplitMix64 step.
-  std::uint64_t h = 0xCBF29CE484222325ULL;
-  const auto mix_byte = [&h](unsigned char b) {
-    h ^= b;
-    h *= 0x100000001B3ULL;
-  };
-  for (unsigned char c : trace_name) mix_byte(c);
-  for (int i = 0; i < 8; ++i)
-    mix_byte(static_cast<unsigned char>(base_seed >> (8 * i)));
-  mix_byte(protocol == Protocol::kSrm ? 0x53 : 0x43);
-  return util::splitmix64(h);
-}
-
 obs::MetricsSnapshot merged_metrics(const std::vector<JobOutcome>& outcomes) {
   obs::MetricsSnapshot merged;
   for (const JobOutcome& out : outcomes) merged.merge(out.result.metrics);
@@ -172,9 +154,6 @@ std::vector<JobOutcome> ExperimentRunner::run(
 
     ExperimentConfig cfg = job.config;
     cfg.protocol = job.protocol;
-    if (options_.decorrelate_seeds)
-      cfg.seed = derive_job_seed(cfg.seed, loss->name(), job.protocol);
-    out.seed = cfg.seed;
 
     const auto t0 = std::chrono::steady_clock::now();
     out.result = run_experiment(*loss, *links, cfg);

@@ -10,15 +10,9 @@
 // Determinism contract: a job's outcome depends only on the job itself
 // (trace, protocol, config, seed) — never on worker count or completion
 // order — so results are bit-identical for any jobs setting, including 1.
-// By default a job runs with its config's seed unchanged, preserving the
-// paper's paired-comparison methodology (SRM and CESRM replay identical
-// timer-jitter streams over the same trace). Sweeps that instead want
-// decorrelated runs per (trace, protocol) set decorrelate_seeds, which
-// applies derive_job_seed() to every job.
 #pragma once
 
 #include <atomic>
-#include <cstdint>
 #include <functional>
 #include <future>
 #include <map>
@@ -81,8 +75,7 @@ struct ExperimentJob {
   std::shared_ptr<const trace::LossTrace> loss;  ///< pre-built alternative
   std::shared_ptr<const infer::LinkTraceRepresentation> links;
   Protocol protocol = Protocol::kCesrm;
-  /// Base config; its protocol field is overridden by `protocol` above and
-  /// its seed is replaced only when the runner decorrelates seeds.
+  /// Base config; its protocol field is overridden by `protocol` above.
   ExperimentConfig config;
   /// Free-form tag carried through to JobOutcome (bench variant names).
   std::string label;
@@ -96,17 +89,8 @@ struct JobOutcome {
   ExperimentResult result;
   /// The cached trace the job ran on (null when the job supplied its own).
   std::shared_ptr<const PreparedTrace> trace;
-  /// The seed the experiment actually ran with (the job config's seed, or
-  /// its derive_job_seed() image when the runner decorrelates seeds).
-  std::uint64_t seed = 0;
   double wall_seconds = 0.0;  ///< experiment only, excluding trace prep
 };
-
-/// Mixes a base seed with a trace name and protocol into a decorrelated
-/// per-job seed (SplitMix64 over the FNV-1a hash of the identity).
-std::uint64_t derive_job_seed(std::uint64_t base_seed,
-                              const std::string& trace_name,
-                              Protocol protocol);
 
 /// Folds every outcome's metrics snapshot into one, strictly in job order
 /// (outcomes are already in job order) — the reason a sweep's merged
@@ -116,9 +100,6 @@ obs::MetricsSnapshot merged_metrics(const std::vector<JobOutcome>& outcomes);
 struct RunnerOptions {
   /// Worker threads; 0 = hardware concurrency (at least 1).
   unsigned jobs = 0;
-  /// Replace each job's seed with derive_job_seed(seed, trace, protocol).
-  /// Off by default: paired runs share timer-jitter streams (see header).
-  bool decorrelate_seeds = false;
   /// Invoked after each job completes — serialized, in completion order
   /// (which is scheduling-dependent; results themselves are not).
   /// `done` counts finished jobs including this one.
@@ -136,8 +117,7 @@ class ExperimentRunner {
   std::vector<JobOutcome> run(std::vector<ExperimentJob> jobs);
 
   /// Generates (and caches) the traces for `specs` in parallel without
-  /// running any protocol — bench_table1 / locality-style sweeps.
-  /// Returns prepared traces in spec order.
+  /// running any protocol. Returns prepared traces in spec order.
   std::vector<std::shared_ptr<const PreparedTrace>> prepare(
       const std::vector<trace::TraceSpec>& specs);
 

@@ -23,7 +23,7 @@ Network::Network(sim::Simulator& sim, const MulticastTree& tree,
       busy_(tree.size(), {sim::SimTime::zero(), sim::SimTime::zero()}),
       link_up_(tree.size(), 1) {
   CESRM_CHECK(config_.link_bandwidth_bps > 0.0);
-  CESRM_CHECK(config_.link_delay >= sim::SimTime::zero());
+  CESRM_CHECK(config_.link_delay > sim::SimTime::zero());
 }
 
 void Network::attach(NodeId node, Agent* agent) {

@@ -55,7 +55,7 @@ using PerturbFn =
 
 struct NetworkConfig {
   double link_bandwidth_bps = 1.5e6;       ///< 1.5 Mbps (§4.3)
-  sim::SimTime link_delay = sim::SimTime::millis(20);  ///< per-link, one-way
+  sim::SimTime link_delay = sim::SimTime::millis(20);  ///< per-link, one-way, > 0
   /// When false, serialization time is ignored (pure-delay links); the
   /// default models the paper's 1 KB payloads on 1.5 Mbps links.
   bool model_bandwidth = true;

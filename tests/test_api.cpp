@@ -194,12 +194,12 @@ TEST(MulticastSession, CacheStatsExposedPerPolicy) {
   group.set_drop_fn([](const net::Packet& pkt, NodeId, NodeId to) {
     return pkt.type == net::PacketType::kData && pkt.seq == 0 && to == 3;
   });
-  SessionConfig lru_cfg;
-  lru_cfg.cesrm.cache.policy = cesrm::CachePolicyKind::kLru;
+  SessionConfig sharded_cfg;
+  sharded_cfg.cesrm.cache.policy = cesrm::CachePolicyKind::kSharded;
   SessionConfig srm_cfg;
   srm_cfg.protocol = Protocol::kSrm;
   group.join(0);
-  group.join(3, lru_cfg);
+  group.join(3, sharded_cfg);
   group.join(4, srm_cfg);
   group.join(5);
   group.simulator().schedule_in(SimTime::seconds(2), [&group] {

@@ -1,6 +1,5 @@
-// Property tests for the pluggable cache-policy laboratory (ISSUE 6):
-// per-policy replacement behavior (eviction exactly at capacity, LRU
-// access protection, LFU frequency protection, TTL expiry, confidence
+// Property tests for the pluggable cache-policy laboratory: per-policy
+// replacement behavior (eviction exactly at capacity, confidence
 // weighting, shard capacity splitting, oracle link-indexed lookup), the
 // recency policy's bit-equivalence with the legacy §3.1 cache, the shared
 // enum-name spelling tables, cache-stats accounting, and the determinism
@@ -27,7 +26,6 @@ namespace {
 using net::LinkId;
 using net::NodeId;
 using net::SeqNo;
-using sim::SimTime;
 
 RecoveryTuple tuple(SeqNo seq, NodeId q, double dqs, NodeId r, double drq,
                     NodeId turning_point = net::kInvalidNode) {
@@ -113,8 +111,7 @@ TEST(CachePolicyNames, ParseErrorListsValidSpellings) {
     const std::string what = e.what();
     EXPECT_NE(what.find("unknown cache policy 'mru'"), std::string::npos)
         << what;
-    EXPECT_NE(what.find("valid: recency, lru, lfu, ttl, confidence, "
-                        "sharded, oracle"),
+    EXPECT_NE(what.find("valid: recency, confidence, sharded, oracle"),
               std::string::npos)
         << what;
   }
@@ -146,8 +143,7 @@ TEST(AllPolicies, SizeNeverExceedsCapacityAndFillsExactly) {
     // more inserts than its share and every policy ends exactly full.
     for (SeqNo seq = 0; seq < 12; ++seq) {
       cache.update(tuple(seq, static_cast<NodeId>(seq % 6), 0.02,
-                         static_cast<NodeId>(10 + seq % 3), 0.01),
-                   SimTime::seconds(seq));
+                         static_cast<NodeId>(10 + seq % 3), 0.01));
       EXPECT_LE(cache.size(), 4u) << cache_policy_name(kind);
     }
     EXPECT_EQ(cache.size(), 4u) << cache_policy_name(kind);
@@ -159,7 +155,7 @@ TEST(AllPolicies, CapacityOneHoldsOneTuple) {
   for (const CachePolicyKind kind : kAllCachePolicyKinds) {
     RecoveryCache cache(config_for(kind, 1));
     for (SeqNo seq = 0; seq < 5; ++seq)
-      cache.update(tuple(seq, 1, 0.02, 2, 0.01), SimTime::seconds(seq));
+      cache.update(tuple(seq, 1, 0.02, 2, 0.01));
     EXPECT_EQ(cache.size(), 1u) << cache_policy_name(kind);
     const auto recent = cache.most_recent();
     ASSERT_TRUE(recent.has_value()) << cache_policy_name(kind);
@@ -178,8 +174,7 @@ TEST(AllPolicies, SnapshotIsPacketOrderedOldestFirst) {
   for (const CachePolicyKind kind : kAllCachePolicyKinds) {
     RecoveryCache cache(config_for(kind, 8));
     for (const SeqNo seq : {7, 3, 9, 5})
-      cache.update(tuple(seq, static_cast<NodeId>(seq), 0.02, 1, 0.01),
-                   SimTime::millis(seq));
+      cache.update(tuple(seq, static_cast<NodeId>(seq), 0.02, 1, 0.01));
     const auto snap = cache.snapshot();
     ASSERT_EQ(snap.size(), 4u) << cache_policy_name(kind);
     EXPECT_TRUE(std::is_sorted(snap.begin(), snap.end(),
@@ -247,7 +242,7 @@ TEST(RecencyPolicy, BitEquivalentWithLegacyCache) {
                            0.001 * static_cast<double>(rng.uniform_int(1, 50)),
                            static_cast<NodeId>(rng.uniform_int(1, 8)),
                            0.001 * static_cast<double>(rng.uniform_int(1, 50)));
-      EXPECT_EQ(cache.update(t, SimTime::millis(step)), model.update(t))
+      EXPECT_EQ(cache.update(t), model.update(t))
           << "capacity " << capacity << " step " << step;
       ASSERT_EQ(cache.size(), model.entries().size());
       const auto snap = cache.snapshot();
@@ -267,114 +262,6 @@ TEST(RecencyPolicy, LegacyConstructorSelectsRecency) {
   RecoveryCache cache(4);
   EXPECT_EQ(cache.policy_kind(), CachePolicyKind::kRecency);
   EXPECT_EQ(cache.capacity(), 4u);
-}
-
-// ----------------------------------------------------------------- lru ----
-
-TEST(LruPolicy, TouchedTupleSurvivesEviction) {
-  RecoveryCache cache(config_for(CachePolicyKind::kLru, 2));
-  EXPECT_TRUE(cache.update(tuple(1, 3, 0.1, 4, 0.1), SimTime::seconds(0)));
-  EXPECT_TRUE(cache.update(tuple(2, 3, 0.1, 4, 0.1), SimTime::seconds(1)));
-  // A same-packet update attempt touches seq 1 even though it is rejected
-  // (worse delay) — seq 2 becomes the least recently used.
-  EXPECT_FALSE(cache.update(tuple(1, 3, 0.1, 5, 0.2), SimTime::seconds(2)));
-  EXPECT_TRUE(cache.update(tuple(3, 6, 0.1, 7, 0.1), SimTime::seconds(3)));
-  EXPECT_TRUE(cached(cache, 1));
-  EXPECT_FALSE(cached(cache, 2));
-  EXPECT_TRUE(cached(cache, 3));
-}
-
-TEST(LruPolicy, SelectionTouchProtectsTheSelectedTuple) {
-  RecoveryCache cache(config_for(CachePolicyKind::kLru, 2));
-  cache.update(tuple(1, 3, 0.1, 4, 0.1), SimTime::seconds(0));
-  cache.update(tuple(2, 5, 0.1, 6, 0.1), SimTime::seconds(1));
-  // Selecting (most recent → seq 2) touches it; seq 1 is now the victim.
-  const auto picked =
-      cache.select(ExpeditionPolicy::kMostRecent, 9, SimTime::seconds(2));
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(picked->seq, 2);
-  cache.update(tuple(3, 7, 0.1, 8, 0.1), SimTime::seconds(3));
-  EXPECT_FALSE(cached(cache, 1));
-  EXPECT_TRUE(cached(cache, 2));
-  EXPECT_TRUE(cached(cache, 3));
-}
-
-TEST(LruPolicy, AdmitsPacketsOlderThanEverythingCached) {
-  // Unlike recency, LRU has no older-than-all admission filter: a reply
-  // for an old packet still evicts the least recently used tuple.
-  RecoveryCache cache(config_for(CachePolicyKind::kLru, 2));
-  cache.update(tuple(5, 3, 0.1, 4, 0.1), SimTime::seconds(0));
-  cache.update(tuple(6, 3, 0.1, 4, 0.1), SimTime::seconds(1));
-  EXPECT_TRUE(cache.update(tuple(1, 3, 0.1, 4, 0.1), SimTime::seconds(2)));
-  EXPECT_TRUE(cached(cache, 1));
-  EXPECT_FALSE(cached(cache, 5));  // least recently used
-  EXPECT_TRUE(cached(cache, 6));
-}
-
-// ----------------------------------------------------------------- lfu ----
-
-TEST(LfuPolicy, EvictsTheLeastFrequentlyUsedTuple) {
-  RecoveryCache cache(config_for(CachePolicyKind::kLfu, 2));
-  cache.update(tuple(1, 3, 0.1, 4, 0.1));   // freq(1) = 1
-  cache.update(tuple(1, 3, 0.1, 5, 0.2));   // rejected, but freq(1) = 2
-  cache.update(tuple(2, 6, 0.1, 7, 0.1));   // freq(2) = 1
-  cache.update(tuple(3, 8, 0.1, 9, 0.1));   // evicts seq 2
-  EXPECT_TRUE(cached(cache, 1));
-  EXPECT_FALSE(cached(cache, 2));
-  EXPECT_TRUE(cached(cache, 3));
-}
-
-TEST(LfuPolicy, FrequencyTiesEvictTheOlderPacket) {
-  RecoveryCache cache(config_for(CachePolicyKind::kLfu, 2));
-  cache.update(tuple(1, 3, 0.1, 4, 0.1));
-  cache.update(tuple(2, 5, 0.1, 6, 0.1));
-  cache.update(tuple(3, 7, 0.1, 8, 0.1));  // both residents at freq 1
-  EXPECT_FALSE(cached(cache, 1));
-  EXPECT_TRUE(cached(cache, 2));
-  EXPECT_TRUE(cached(cache, 3));
-}
-
-// ----------------------------------------------------------------- ttl ----
-
-TEST(TtlPolicy, ExpiresTuplesOlderThanTheTtl) {
-  CacheConfig config = config_for(CachePolicyKind::kTtl, 4);
-  config.ttl = SimTime::seconds(1);
-  RecoveryCache cache(config);
-  cache.update(tuple(1, 3, 0.1, 4, 0.1), SimTime::seconds(0));
-  cache.update(tuple(2, 3, 0.1, 4, 0.1), SimTime::millis(500));
-  // At t = 2 s both residents are past the 1 s TTL and are swept before
-  // the new tuple is admitted.
-  cache.update(tuple(3, 3, 0.1, 4, 0.1), SimTime::seconds(2));
-  EXPECT_EQ(cache.size(), 1u);
-  EXPECT_TRUE(cached(cache, 3));
-  EXPECT_EQ(cache.stats().expirations, 2u);
-}
-
-TEST(TtlPolicy, SelectionSweepsBeforeAnswering) {
-  CacheConfig config = config_for(CachePolicyKind::kTtl, 4);
-  config.ttl = SimTime::seconds(1);
-  RecoveryCache cache(config);
-  cache.update(tuple(1, 3, 0.1, 4, 0.1), SimTime::seconds(0));
-  EXPECT_FALSE(cache.select(ExpeditionPolicy::kMostRecent, 9,
-                            SimTime::seconds(10))
-                   .has_value());
-  EXPECT_TRUE(cache.empty());
-  EXPECT_EQ(cache.stats().expirations, 1u);
-  EXPECT_EQ(cache.stats().misses, 1u);
-}
-
-TEST(TtlPolicy, ImprovingAnEntryRefreshesItsClock) {
-  CacheConfig config = config_for(CachePolicyKind::kTtl, 4);
-  config.ttl = SimTime::seconds(1);
-  RecoveryCache cache(config);
-  cache.update(tuple(1, 3, 0.1, 4, 0.2), SimTime::seconds(0));
-  // A better pair at t = 0.9 s restarts the tuple's TTL...
-  EXPECT_TRUE(cache.update(tuple(1, 3, 0.1, 5, 0.05), SimTime::millis(900)));
-  // ...so at t = 1.5 s it is still alive (age 0.6 s < 1 s).
-  const auto picked = cache.select(ExpeditionPolicy::kMostRecent, 9,
-                                   SimTime::millis(1500));
-  ASSERT_TRUE(picked.has_value());
-  EXPECT_EQ(picked->replier, 5);
 }
 
 // ---------------------------------------------------------- confidence ----
@@ -550,7 +437,6 @@ TEST(CacheStats, CountersMatchTheOperationStream) {
   EXPECT_EQ(stats.updates, 1u);
   EXPECT_EQ(stats.evictions, 1u);
   EXPECT_EQ(stats.rejects, 2u);
-  EXPECT_EQ(stats.expirations, 0u);
 }
 
 TEST(CacheStats, ShardedSumsShardCountersIntoOneView) {

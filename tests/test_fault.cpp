@@ -277,8 +277,8 @@ TEST(FaultCrash, CrashWithPendingReplyTimersThenWarmRecover) {
 
 TEST(FaultCrash, WarmRestartReplaysCacheAcrossAdmissionEvictionChurn) {
   // The write-behind journal records cache admissions but not the
-  // evictions and expirations that follow (a restore re-applies the
-  // admission sequence and lets the cache's own policy re-evict), so a
+  // evictions that follow (a restore re-applies the admission sequence
+  // and lets the cache's own policy re-evict), so a
   // member that crashes mid-churn replays tuples whose cache slots had
   // already been recycled. The restore path must treat those as ordinary
   // updates — the run must stay oracle-clean with a populated, evicting

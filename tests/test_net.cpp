@@ -518,6 +518,16 @@ TEST(Network, AttachRejectsRoutersAndDuplicates) {
   EXPECT_THROW(network.attach(3, &b), util::CheckError);
 }
 
+TEST(Network, RejectsNonPositiveLinkDelay) {
+  sim::Simulator sim;
+  const auto tree = small_tree();
+  NetworkConfig cfg;
+  cfg.link_delay = sim::SimTime::zero();
+  EXPECT_THROW((Network{sim, tree, cfg}), util::CheckError);
+  cfg.link_delay = sim::SimTime::millis(-5);
+  EXPECT_THROW((Network{sim, tree, cfg}), util::CheckError);
+}
+
 TEST(Network, PathDelayIsSymmetricAndAdditive) {
   NetworkConfig cfg;
   cfg.link_delay = sim::SimTime::millis(20);

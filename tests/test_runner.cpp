@@ -1,7 +1,7 @@
 // Tests for the parallel experiment runner: the determinism contract
 // (outcomes are identical field-for-field for any worker count), the
-// build-once trace cache, progress reporting, seed derivation, and the
-// parallel_for substrate it is all built on.
+// build-once trace cache, progress reporting, and the parallel_for
+// substrate it is all built on.
 #include <gtest/gtest.h>
 
 #include <atomic>
@@ -172,45 +172,6 @@ TEST(Runner, ProgressFiresOncePerJob) {
   // ...and the done counter counted 1..N in callback order.
   for (std::size_t i = 0; i < seen_done.size(); ++i)
     EXPECT_EQ(seen_done[i], i + 1);
-}
-
-TEST(Runner, PairedSeedsByDefault) {
-  // Default policy: SRM and CESRM replay the same seed (the paper's paired
-  // comparison), so the config seed is passed through untouched.
-  ExperimentJob job;
-  job.spec = small_spec(1, 300);
-  job.protocol = Protocol::kSrm;
-  job.config.seed = 77;
-  ExperimentRunner runner;
-  const auto outcomes = runner.run({job});
-  ASSERT_EQ(outcomes.size(), 1u);
-  EXPECT_EQ(outcomes[0].seed, 77u);
-}
-
-TEST(Runner, DecorrelatedSeedsDifferByProtocolAndTrace) {
-  const auto s1 = harness::derive_job_seed(1, "RANDOM1", Protocol::kSrm);
-  const auto s2 = harness::derive_job_seed(1, "RANDOM1", Protocol::kCesrm);
-  const auto s3 = harness::derive_job_seed(1, "RANDOM2", Protocol::kSrm);
-  const auto s4 = harness::derive_job_seed(2, "RANDOM1", Protocol::kSrm);
-  EXPECT_NE(s1, s2);
-  EXPECT_NE(s1, s3);
-  EXPECT_NE(s1, s4);
-  // Deterministic: same identity, same seed.
-  EXPECT_EQ(s1, harness::derive_job_seed(1, "RANDOM1", Protocol::kSrm));
-
-  RunnerOptions options;
-  options.decorrelate_seeds = true;
-  ExperimentRunner runner(options);
-  ExperimentJob job;
-  job.spec = small_spec(1, 300);
-  job.protocol = Protocol::kSrm;
-  job.config.seed = 1;
-  const auto outcomes = runner.run({job});
-  ASSERT_EQ(outcomes.size(), 1u);
-  ASSERT_NE(outcomes[0].trace, nullptr);
-  EXPECT_EQ(outcomes[0].seed,
-            harness::derive_job_seed(1, outcomes[0].trace->loss().name(),
-                                     Protocol::kSrm));
 }
 
 TEST(Runner, JsonSinkRoundTrip) {

@@ -17,7 +17,7 @@
 //
 //   simulate  --in=FILE [--protocol=srm|cesrm] [--router-assist]
 //             [--policy=most-recent|most-frequent] [--adaptive]
-//             [--cache-policy=recency|lru|lfu|ttl|confidence|sharded|oracle]
+//             [--cache-policy=recency|confidence|sharded|oracle]
 //       Replay the trace under one protocol and print the recovery
 //       summary.
 //
@@ -575,7 +575,6 @@ int cmd_netio_run(const util::CliFlags& flags) {
   outcome.protocol = cfg.protocol;
   outcome.label = result.trace_name;
   outcome.result = result;
-  outcome.seed = cfg.seed;
   outcome.wall_seconds = out.wall_seconds;
   const std::vector<harness::JobOutcome> outcomes{std::move(outcome)};
   maybe_write_json(flags, outcomes, result.trace_name);
