@@ -6,7 +6,6 @@
 
 #include "infer/link_estimator.hpp"
 #include "util/logging.hpp"
-#include "util/proc.hpp"
 
 namespace cesrm::bench {
 
@@ -180,8 +179,8 @@ bool parse_slo(const std::string& text, std::vector<SloSpec>* out) {
   return true;
 }
 
-void SloGate::accumulate(const harness::ExperimentResult& result) {
-  for (const auto& m : result.members) {
+void SloGate::accumulate(std::span<const harness::MemberResult> members) {
+  for (const auto& m : members) {
     if (m.is_source || m.rtt_to_source <= 0.0) continue;
     for (const auto& r : m.stats.recoveries) {
       if (r.recovered)
@@ -293,7 +292,8 @@ std::vector<harness::JobOutcome> run_jobs(
     write_obs_artifacts(*opts.obs);
   }
   if (opts.slo)
-    for (const auto& outcome : outcomes) opts.slo->accumulate(outcome.result);
+    for (const auto& outcome : outcomes)
+      opts.slo->accumulate(outcome.result.members);
   return outcomes;
 }
 
@@ -336,13 +336,6 @@ void print_header(const std::string& what, const BenchOptions& opts) {
     std::cout << "  packets capped at " << opts.packets_cap;
   if (opts.base.lossy_recovery) std::cout << "  (lossy recovery)";
   std::cout << "\n\n";
-}
-
-std::string peak_rss_json_value() {
-  if (const auto rss = util::peak_rss_bytes()) return std::to_string(*rss);
-  std::cerr << "warning: peak RSS unavailable (/proc/self/status has no "
-               "VmHWM on this platform); --mem emits null\n";
-  return "null";
 }
 
 void write_json(const BenchOptions& opts,

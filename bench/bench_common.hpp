@@ -13,6 +13,7 @@
 #pragma once
 
 #include <memory>
+#include <span>
 #include <string>
 #include <vector>
 
@@ -79,7 +80,7 @@ struct SloGate {
   util::Sample normalized_latency;
   std::uint64_t unrecovered = 0;
 
-  void accumulate(const harness::ExperimentResult& result);
+  void accumulate(std::span<const harness::MemberResult> members);
   /// Value of one metric name; false when the name is unknown.
   bool value_of(const std::string& metric, double* out) const;
 };
@@ -112,12 +113,6 @@ struct BenchOptions {
 /// --slo, so default bench output stays byte-identical. Benches end their
 /// main with `return slo_exit(opts);`.
 int slo_exit(const BenchOptions& opts);
-
-/// Renders util::peak_rss_bytes() for bench_scale's --mem artifact: the byte
-/// count, or "null" — with a one-line warning on stderr — when VmHWM is
-/// unavailable (non-Linux hosts, restricted /proc). Never a silent 0: a
-/// fake measurement poisons bench_diff comparisons.
-std::string peak_rss_json_value();
 
 /// Registers the common flags on `flags`.
 void add_common_flags(util::CliFlags& flags, const std::string& default_traces);

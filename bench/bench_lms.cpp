@@ -14,6 +14,8 @@
 // post-crash latency spike.
 
 #include <iostream>
+#include <string>
+#include <vector>
 
 #include "bench_common.hpp"
 #include "harness/group.hpp"
@@ -41,6 +43,7 @@ struct RunOutcome {
   util::OnlineStats window_latency;  // within the repair window after crash
   std::uint64_t unrecovered = 0;
   double exposure = 0.0;  // retransmission link crossings per recovery
+  std::vector<harness::MemberResult> members;  // kept for --slo only
 };
 
 RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
@@ -113,7 +116,8 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
 
   RunOutcome out;
   std::uint64_t recoveries = 0;
-  for (const harness::MemberResult& m : group.collect()) {
+  std::vector<harness::MemberResult> members = group.collect();
+  for (const harness::MemberResult& m : members) {
     if (m.failed || m.is_source) continue;
     for (const auto& r : m.stats.recoveries) {
       if (!r.recovered) {
@@ -135,7 +139,19 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
   out.exposure = recoveries ? static_cast<double>(retrans_crossings) /
                                   static_cast<double>(recoveries)
                             : 0.0;
+  if (opts.slo) out.members = std::move(members);
   return out;
+}
+
+/// The first flag whose effect run() cannot deliver, or "". run() builds
+/// its groups outside run_experiment, so it records no results or
+/// observability artifacts, keeps no durable state and drops only data.
+std::string unsupported_flag(const util::CliFlags& flags) {
+  for (const char* name : {"json", "trace-out", "metrics-out", "stream-out"})
+    if (!flags.get_string(name).empty()) return std::string("--") + name;
+  if (flags.get_string("durable") != "off") return "--durable";
+  if (flags.get_bool("lossy-recovery")) return "--lossy-recovery";
+  return "";
 }
 
 }  // namespace
@@ -146,6 +162,12 @@ int main(int argc, char** argv) {
   if (!flags.parse(argc, argv)) return 1;
   bench::BenchOptions opts;
   if (!bench::read_common_flags(flags, &opts)) return 1;
+  if (const std::string bad = unsupported_flag(flags); !bad.empty()) {
+    std::cerr << "bench_lms: " << bad
+              << " is not supported (the LMS comparison runs its own groups, "
+                 "outside run_experiment)\n";
+    return 1;
+  }
   if (opts.packets_cap == 0) opts.packets_cap = 20000;
   bench::print_header("LMS baseline (§3.3/§5) — healthy and under churn",
                       opts);
@@ -175,10 +197,17 @@ int main(int argc, char** argv) {
     const std::size_t cell = t / 2;
     const bool crash = t % 2 == 1;
     const auto& trace = *prepared[cell / 3];
-    const auto outcome =
+    (crash ? cells[cell].churned : cells[cell].healthy) =
         run(protos[cell % 3], trace.gen, *trace.links, opts, crash);
-    (crash ? cells[cell].churned : cells[cell].healthy) = outcome;
   });
+  // The --slo gate sees every simulated recovery, folded in cell order so
+  // its verdict is the same for any --jobs.
+  if (opts.slo) {
+    for (const Cell& cell : cells) {
+      opts.slo->accumulate(cell.healthy.members);
+      opts.slo->accumulate(cell.churned.members);
+    }
+  }
 
   for (std::size_t i = 0; i < specs.size(); ++i) {
     const auto& spec = specs[i];

@@ -58,10 +58,6 @@ struct DurableConfig {
   /// journal every `flush_every` appends (1 = write-through). A crash
   /// loses at most flush_every - 1 records.
   std::size_t flush_every = 8;
-  /// Reply-dedup at the retransmission send paths (warm mode only — the
-  /// ledger is populated by journal replay). Off is a diagnostic mode:
-  /// duplicates are served and counted, and the fault oracle flags them.
-  bool dedup_replies = true;
 };
 
 /// Aggregated store accounting (summed over agents by Manager::totals).

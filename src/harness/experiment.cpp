@@ -245,7 +245,7 @@ ExperimentResult run_experiment_impl(
       loss_trace.period() * static_cast<std::int64_t>(packet_count) +
       config.drain;
   if (!config.faults.empty())
-    horizon += config.faults.horizon_slack() + config.fault_settle;
+    horizon += config.faults.horizon_slack();
   if (oracle) {
     for (const fault::ResolvedCrash& crash : faults->crashes())
       oracle->note_crash(crash);

@@ -56,9 +56,6 @@ struct ExperimentConfig {
   /// liveness/safety violations throw util::CheckError, prefixed with a
   /// reproduction line naming trace, seed, protocol, and plan.
   fault::FaultPlan faults;
-  /// Extra time budget after the nominal horizon for faulted runs; the
-  /// plan's own horizon_slack() is always added on top of this.
-  sim::SimTime fault_settle = sim::SimTime::zero();
   /// Durable recovery state (src/durable): off (default; behaviour and
   /// artifacts byte-identical to a build without the subsystem), cold
   /// (crashes clear volatile recovery state, nothing journaled), or warm

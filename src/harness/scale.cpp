@@ -6,7 +6,6 @@
 #include <functional>
 #include <map>
 #include <memory>
-#include <optional>
 
 #include "harness/group.hpp"
 #include "net/network.hpp"
@@ -69,8 +68,8 @@ std::vector<int> partition_tree(const net::MulticastTree& tree, int shards) {
 constexpr sim::SimTime kWarmup = sim::SimTime::seconds(1);
 
 /// The data source of a scale run: emits the transmission, answers repair
-/// requests. Root-attached, so in sharded runs it executes exclusively on
-/// shard 0's thread — its state needs no synchronization.
+/// requests. Root-attached, so it executes exclusively on shard 0's
+/// thread — its state needs no synchronization.
 class ScaleSource : public net::Agent {
  public:
   ScaleSource(sim::Simulator& sim, net::Network& network, net::NodeId node,
@@ -155,6 +154,8 @@ ScaleResult run_scale(const ScaleConfig& config) {
   CESRM_CHECK_MSG(config.receivers >= 1, "scale run needs >= 1 receiver");
   CESRM_CHECK_MSG(config.block_members >= 1, "block size must be >= 1");
   CESRM_CHECK_MSG(config.packets >= 1, "scale run needs >= 1 data packet");
+  CESRM_CHECK_MSG(config.shards >= 1,
+                  "scale run needs >= 1 shard (got " << config.shards << ")");
   const std::uint64_t blocks =
       (config.receivers + config.block_members - 1) / config.block_members;
   CESRM_CHECK_MSG(blocks <= 1u << 22, "too many blocks for one tree");
@@ -165,18 +166,15 @@ ScaleResult run_scale(const ScaleConfig& config) {
   CESRM_CHECK(tree.receivers().size() == blocks);
 
   net::NetworkConfig netcfg;  // the paper's 1.5 Mbps / 20 ms defaults
-  std::optional<sim::ShardedEngine> engine;
-  sim::Simulator flat_sim;
-  if (config.shards >= 1)
-    engine.emplace(partition_tree(tree, config.shards), config.shards,
-                   netcfg.link_delay);
-  sim::Simulator& root_sim = engine ? engine->sim(0) : flat_sim;
-  const auto sim_of = [&](net::NodeId node) -> sim::Simulator& {
-    return engine ? engine->sim(engine->shard_of(node)) : flat_sim;
+  sim::ShardedEngine engine(partition_tree(tree, config.shards),
+                            config.shards, netcfg.link_delay);
+  sim::Simulator& root_sim = engine.sim(0);
+  const auto sim_of = [&engine](net::NodeId node) -> sim::Simulator& {
+    return engine.sim(engine.shard_of(node));
   };
 
   net::Network network(root_sim, tree, netcfg);
-  if (engine) network.enable_sharding(&*engine);
+  network.enable_sharding(&engine);
 
   // Reply-suppression guard: one retransmission flood covers every
   // requestor, so suppress duplicates for a full deepest-path round trip.
@@ -210,7 +208,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
 
   // --- pre-aggregated session traffic: one packet per block per period --
   // Each block's chain lives on its own shard's simulator and bumps only
-  // its own round counter, so sharded runs never share mutable state.
+  // its own round counter, so shards never share mutable state.
   std::vector<std::uint64_t> rounds(blocks, 0);
   std::vector<std::function<void()>> session_fns(blocks);
   for (std::uint64_t b = 0; b < blocks; ++b) {
@@ -240,10 +238,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   transmission.start(kWarmup);
 
   const auto t0 = std::chrono::steady_clock::now();
-  if (engine)
-    engine->run_until(horizon);
-  else
-    flat_sim.run_until(horizon);
+  engine.run_until(horizon);
   const double wall =
       std::chrono::duration<double>(std::chrono::steady_clock::now() - t0)
           .count();
@@ -253,8 +248,7 @@ ScaleResult run_scale(const ScaleConfig& config) {
   r.receivers = config.receivers;
   r.blocks = blocks;
   r.tree_nodes = tree.size();
-  r.events_executed =
-      engine ? engine->events_executed() : flat_sim.events_executed();
+  r.events_executed = engine.events_executed();
   r.wall_seconds = wall;
 
   obs::LogHistogram latency;

@@ -6,13 +6,13 @@
 // srm::ReceiverBlock populations (F members behind each leaf, ~16 bytes of
 // per-member state), session state flows pre-aggregated (one summary
 // packet per block per period instead of one flood per member — see
-// srm/session_aggregate.hpp), and the whole simulation can run sharded
-// over N event queues (sim::ShardedEngine) with identical results for any
-// shard count. 10⁵ receivers fit in a laptop's cache slack; 10⁶ are a
-// matter of patience, not feasibility.
+// srm/session_aggregate.hpp), and the whole simulation runs on the
+// sharded engine (sim::ShardedEngine) over N event queues with identical
+// results for any shard count. 10⁵ receivers fit in a laptop's cache
+// slack; 10⁶ are a matter of patience, not feasibility.
 //
-// The driver measures what the scale story claims: simulator throughput
-// (events/s), bytes of member state per receiver, total and per-period
+// The driver measures what the scale story claims: events executed and
+// wall time, bytes of member state per receiver, total and per-period
 // session crossings versus the flat-SRM O(members × links) cost, and the
 // block-level recovery-latency distribution (p50/p99) under SRM and
 // CESRM-expedited recovery.
@@ -41,9 +41,9 @@ struct ScaleConfig {
   double member_loss = 0.01;
   sim::SimTime session_period = sim::SimTime::seconds(1);
   std::uint64_t seed = 1;
-  /// 0 = classic single event queue; N >= 1 = sharded engine (identical
-  /// results for every N — the scale suite asserts it).
-  int shards = 0;
+  /// Event queues of the sharded engine, >= 1 (identical results for
+  /// every count — the scale suite asserts it).
+  int shards = 1;
   sim::SimTime drain = sim::SimTime::seconds(30);
 };
 
@@ -78,12 +78,6 @@ struct ScaleResult {
   /// Root-of-tree aggregate folded from the blocks' final summaries via
   /// aggregate_up (bit-exact vs the flat reference; tested).
   srm::SessionSummary root_summary;
-
-  double events_per_second() const {
-    return wall_seconds > 0 ? static_cast<double>(events_executed) /
-                                  wall_seconds
-                            : 0.0;
-  }
 };
 
 ScaleResult run_scale(const ScaleConfig& config);

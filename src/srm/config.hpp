@@ -5,6 +5,8 @@
 // D3 = 1.5, session period 1 s.
 #pragma once
 
+#include <cstddef>
+
 #include "sim/time.hpp"
 
 namespace cesrm::srm {
@@ -44,27 +46,26 @@ struct SrmConfig {
   /// parameters (seeded from D1, D2) likewise. Off by default — the CESRM
   /// paper simulates the fixed "typical settings".
   bool adaptive_timers = false;
-
-  /// Maximum request back-off exponent; 2^k growth is capped here to keep
-  /// timeouts bounded in pathological suppression storms (the paper does
-  /// not bound it; 16 rounds ≈ 65 000× the base interval, far beyond any
-  /// recovery observed).
-  int max_backoff = 16;
-
-  // --- crash-recovery catch-up pacing (§3.3 graceful degradation) ---
-  /// A rejoining member re-detects every packet it is missing, but
-  /// releases the detections in batches of catch_up_batch every
-  /// catch_up_interval. Unpaced, a member returning from a long outage
-  /// arms hundreds of request timers in one instant; the synchronized
-  /// request burst and the reply avalanche it triggers congest
-  /// bandwidth-modeled links for tens of simulated seconds. Pacing also
-  /// lets multicast replies triggered by one rejoining member silently
-  /// repair the others before they ever request. 0 = release everything
-  /// at once (the unpaced behaviour). The defaults release ~53 requests/s
-  /// — well under the ~180 replies/s the paper's 1.5 Mbps / 1 KB links
-  /// can serialize, leaving headroom for the ongoing transmission.
-  int catch_up_batch = 8;
-  sim::SimTime catch_up_interval = sim::SimTime::millis(150);
 };
+
+/// Maximum request back-off exponent; 2^k growth is capped here to keep
+/// timeouts bounded in pathological suppression storms (the paper does
+/// not bound it; 16 rounds ≈ 65 000× the base interval, far beyond any
+/// recovery observed).
+inline constexpr int kMaxRequestBackoff = 16;
+
+// --- crash-recovery catch-up pacing (§3.3 graceful degradation) ---
+/// A rejoining member re-detects every packet it is missing, but releases
+/// the detections in batches of kCatchUpBatch every kCatchUpInterval.
+/// Unpaced, a member returning from a long outage arms hundreds of request
+/// timers in one instant; the synchronized request burst and the reply
+/// avalanche it triggers congest bandwidth-modeled links for tens of
+/// simulated seconds. Pacing also lets multicast replies triggered by one
+/// rejoining member silently repair the others before they ever request.
+/// The pace is ~53 requests/s — well under the ~180 replies/s the paper's
+/// 1.5 Mbps / 1 KB links can serialize, leaving headroom for the ongoing
+/// transmission.
+inline constexpr std::size_t kCatchUpBatch = 8;
+inline constexpr sim::SimTime kCatchUpInterval = sim::SimTime::millis(150);
 
 }  // namespace cesrm::srm

@@ -80,7 +80,7 @@ void SrmAgent::recover(sim::SimTime session_offset) {
   // in flight at crash time (fail() discarded their want state) would
   // otherwise sit in a permanent blind spot below the horizon the member
   // already knew. The queue is released in paced batches rather than
-  // detected here all at once — see SrmConfig::catch_up_batch.
+  // detected here all at once — see kCatchUpBatch.
   for (auto& [source, s] : streams_) {
     if (originates(source)) continue;
     for (net::SeqNo seq = 0; seq <= s.highest_seq; ++seq)
@@ -159,11 +159,8 @@ void SrmAgent::release_catch_up_batch() {
     ++stats_.zombie_timer_fires;
     return;
   }
-  const std::size_t batch = config_.catch_up_batch > 0
-                                ? static_cast<std::size_t>(config_.catch_up_batch)
-                                : catch_up_queue_.size();
   std::size_t released = 0;
-  while (catch_up_next_ < catch_up_queue_.size() && released < batch) {
+  while (catch_up_next_ < catch_up_queue_.size() && released < kCatchUpBatch) {
     const auto [source, seq] = catch_up_queue_[catch_up_next_++];
     // A repair overheard since recover() — typically one triggered by
     // another member rejoining from the same outage — may have filled the
@@ -175,7 +172,7 @@ void SrmAgent::release_catch_up_batch() {
       catch_up_timer_ = std::make_unique<sim::Timer>(
           sim_, [this] { release_catch_up_batch(); });
     }
-    catch_up_timer_->arm(config_.catch_up_interval);
+    catch_up_timer_->arm(kCatchUpInterval);
   } else {
     catch_up_queue_.clear();
     catch_up_next_ = 0;
@@ -475,7 +472,7 @@ sim::SimTime SrmAgent::draw_request_delay(net::NodeId source, int k) {
   const double c2 = req_ctrl_ ? req_ctrl_->probabilistic() : config_.c2;
   const double lo = c1 * d;
   const double hi = (c1 + c2) * d;
-  const double scale = std::ldexp(1.0, std::min(k, config_.max_backoff));
+  const double scale = std::ldexp(1.0, std::min(k, kMaxRequestBackoff));
   return sim::SimTime::from_seconds(scale * rng_.uniform(lo, hi));
 }
 
@@ -500,7 +497,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
   net_.multicast(self_, net::make_request_packet(self_, source, seq,
                                                  distance_to(source)));
   // Schedule the next round.
-  want.backoff = std::min(want.backoff + 1, config_.max_backoff);
+  want.backoff = std::min(want.backoff + 1, kMaxRequestBackoff);
   want.request_timer->arm(draw_request_delay(source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
@@ -514,7 +511,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
 void SrmAgent::backoff_request(WantState& want) {
   if (sim_.now() < want.abstinence_until)
     return;  // same recovery round: discard (§2.1 back-off abstinence)
-  want.backoff = std::min(want.backoff + 1, config_.max_backoff);
+  want.backoff = std::min(want.backoff + 1, kMaxRequestBackoff);
   want.request_timer->arm(draw_request_delay(want.source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestSuppressed, self_,

@@ -349,8 +349,8 @@ class SrmAgent : public net::Agent {
   void handle_reply(const net::Packet& pkt);
   void reply_timer_fired(net::NodeId source, net::SeqNo seq);
   void session_timer_fired();
-  /// Releases the next catch_up_batch queued re-detections and re-arms
-  /// the catch-up timer while any remain (see SrmConfig::catch_up_batch).
+  /// Releases the next kCatchUpBatch queued re-detections and re-arms
+  /// the catch-up timer while any remain (see srm/config.hpp).
   void release_catch_up_batch();
   /// Everything up to `seq` exists on `source`'s stream: detect any gap.
   void note_new_sequence(net::NodeId source, net::SeqNo seq);

@@ -250,25 +250,17 @@ TEST(ScaleSharding, ResultsIdenticalForEveryShardCount) {
   }
 }
 
-TEST(ScaleSharding, LegacyAndShardedAgreeOnOutcomes) {
+TEST(ScaleSharding, RejectsFewerThanOneShard) {
   harness::ScaleConfig cfg;
-  cfg.receivers = 1000;
+  cfg.receivers = 100;
   cfg.block_members = 50;
-  cfg.tree_depth = 4;
-  cfg.packets = 60;
-  cfg.member_loss = 0.03;
-  cfg.seed = 19;
-  cfg.shards = 0;
-  const auto legacy = harness::run_scale(cfg);
-  cfg.shards = 2;
-  const auto sharded = harness::run_scale(cfg);
-  // Losses are hash-determined, so identical across engines; recovery
-  // completes under both.
-  EXPECT_EQ(legacy.losses, sharded.losses);
-  EXPECT_EQ(legacy.recovered, legacy.losses);
-  EXPECT_EQ(sharded.recovered, sharded.losses);
-  EXPECT_EQ(sharded.outstanding, 0u);
-  EXPECT_EQ(legacy.session_rounds, sharded.session_rounds);
+  cfg.tree_depth = 3;
+  cfg.packets = 10;
+  for (int shards : {0, -1}) {
+    cfg.shards = shards;
+    EXPECT_THROW(harness::run_scale(cfg), util::CheckError)
+        << "shards=" << shards;
+  }
 }
 
 // --------------------------------------------------- engine unit tests ----

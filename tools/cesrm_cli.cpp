@@ -345,7 +345,21 @@ int cmd_simulate(const util::CliFlags& flags) {
   const std::string protocol = flags.get_string("protocol");
   if (protocol == "lms") {
     // LMS needs the shared router directory, so its group is built here
-    // with an LmsAgent factory rather than through run_experiment.
+    // with an LmsAgent factory rather than through run_experiment. It
+    // records no results or artifacts and keeps no durable state: refuse
+    // the flags asking for them rather than ignore them.
+    for (const char* name : {"json", "trace-out", "metrics-out"}) {
+      if (!flags.get_string(name).empty()) {
+        std::cerr << "simulate: --" << name
+                  << " is not supported with --protocol=lms\n";
+        return 1;
+      }
+    }
+    if (cfg.durable.mode != durable::DurableMode::kOff) {
+      std::cerr << "simulate: --durable is not supported with "
+                   "--protocol=lms (want off)\n";
+      return 1;
+    }
     const auto& tree = file.loss->tree();
     sim::Simulator sim;
     net::Network network(sim, tree, cfg.network);

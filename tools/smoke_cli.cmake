@@ -18,6 +18,15 @@ foreach(args
   endif()
 endforeach()
 
+# The LMS path records no result artifacts: asking for one is refused
+# (exit 1), not silently ignored.
+execute_process(COMMAND ${CLI} simulate --in=${trace_file} --protocol=lms
+    --json=${WORK}/smoke_lms.json
+  RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+if(NOT rc EQUAL 1)
+  message(FATAL_ERROR "simulate --protocol=lms --json exited ${rc}, want 1")
+endif()
+
 # Malformed input must be diagnosed (exit 2), never crash.
 file(WRITE ${WORK}/smoke_bad.wire "not a wire frame")
 execute_process(COMMAND ${CLI} wire-check --in=${WORK}/smoke_bad.wire
