@@ -7,6 +7,15 @@
 
 namespace cesrm::cesrm {
 
+namespace {
+/// True when `v` is a group member (the source or a receiver) and so can
+/// serve a repair: routers have no agent and no unicast endpoint.
+bool is_member(const net::MulticastTree& tree, net::NodeId v) {
+  return v >= 0 && static_cast<std::size_t>(v) < tree.size() &&
+         (tree.is_root(v) || tree.is_leaf(v));
+}
+}  // namespace
+
 CesrmAgent::CesrmAgent(sim::Simulator& sim, net::Transport& network,
                        net::NodeId self, net::NodeId primary_source,
                        const CesrmConfig& config, util::Rng rng)
@@ -47,12 +56,12 @@ void CesrmAgent::restore_cache_tuple(net::NodeId source,
       tuple.replier == net::kInvalidNode)
     return;
   // A journal written against a different group layout (or by a buggy
-  // writer) can name nodes this tree does not have; distance queries and
-  // unicasts against them would abort the run, so drop such tuples —
-  // degrading toward a cold restart, as everywhere else in replay.
+  // writer) can name nodes this tree does not have, or a router as the
+  // replier; distance queries and unicasts against them would abort the
+  // run, so drop such tuples — degrading toward a cold restart, as
+  // everywhere else in replay.
   const auto nodes = static_cast<net::NodeId>(net_.tree().size());
-  if (source < 0 || source >= nodes || tuple.replier < 0 ||
-      tuple.replier >= nodes)
+  if (source < 0 || source >= nodes || !is_member(net_.tree(), tuple.replier))
     return;
   if (tuple.replier == node()) return;  // we cannot serve our own repairs
   lost_ever_[source].insert(tuple.seq);
@@ -124,7 +133,7 @@ void CesrmAgent::on_loss_detected(WantState& want) {
   want.exp_ann.turning_point = pair->turning_point;
   const net::NodeId source = want.source;
   const net::SeqNo seq = want.seq;
-  want.exp_timer = std::make_unique<sim::Timer>(
+  want.exp_timer.emplace(
       sim_, [this, source, seq] { exp_timer_fired(source, seq); });
   want.exp_timer->arm(cesrm_config_.reorder_delay);
 }
@@ -137,8 +146,7 @@ void CesrmAgent::exp_timer_fired(net::NodeId source, net::SeqNo seq) {
   StreamState& s = stream(source);
   const auto it = s.want.find(seq);
   CESRM_CHECK_MSG(it != s.want.end(), "expedited timer for unknown loss");
-  WantState& want = *it->second;
-  CESRM_CHECK(!want.recovered);
+  WantState& want = it->second;
   ++stats_.exp_requests_sent;
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kExpAttempt, node(), source, seq,
@@ -159,8 +167,10 @@ void CesrmAgent::on_packet_available(net::NodeId source, net::SeqNo seq) {
 void CesrmAgent::on_reply_observed(const net::Packet& pkt) {
   // §3.1: replies update the cache only at hosts that suffered the loss.
   if (originates(pkt.source) || !lost_ever(pkt.source, pkt.seq)) return;
+  // Only a member can serve the expedited request a tuple leads to; a
+  // reply naming a router (or nobody) as replier is not cacheable.
   if (pkt.ann.requestor == net::kInvalidNode ||
-      pkt.ann.replier == net::kInvalidNode)
+      !is_member(net_.tree(), pkt.ann.replier))
     return;
   RecoveryCache& cache = mutable_cache(pkt.source);
   const bool changed =

@@ -7,7 +7,8 @@
 //  * each host maintains a collection of per-source requestor/replier
 //    caches (§3.1), one for every stream it receives; every reply observed
 //    for a packet this host lost updates the corresponding cache with the
-//    annotated tuple, keeping the optimal pair per packet;
+//    annotated tuple, keeping the optimal pair per packet (a tuple whose
+//    replier is a router, not a member, is never cached);
 //  * upon detecting a loss, the expedition policy selects a pair from the
 //    lost packet's source cache; if this host is the expeditious requestor
 //    it arms an expedited request for REORDER-DELAY in the future

@@ -18,10 +18,10 @@ LmsAgent::LmsAgent(sim::Simulator& sim, net::Transport& network,
 void LmsAgent::on_loss_detected(WantState& want) {
   // LMS replaces SRM's suppression machinery entirely: disarm the SRM
   // request timer and start the directed exchange.
-  want.request_timer->cancel();
+  want.request_timer.cancel();
   const net::NodeId source = want.source;
   const net::SeqNo seq = want.seq;
-  want.exp_timer = std::make_unique<sim::Timer>(
+  want.exp_timer.emplace(
       sim_, [this, source, seq] { retry_timer_fired(source, seq); });
   escalation_[{source, seq}] = 0;
   send_lms_request(source, seq);
@@ -31,7 +31,7 @@ void LmsAgent::send_lms_request(net::NodeId source, net::SeqNo seq) {
   StreamState& s = stream(source);
   const auto it = s.want.find(seq);
   CESRM_CHECK(it != s.want.end());
-  WantState& want = *it->second;
+  WantState& want = it->second;
 
   const int level = escalation_[{source, seq}];
   const auto route = directory_.route(node(), level);

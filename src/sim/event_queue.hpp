@@ -43,8 +43,10 @@ class EventQueue {
   using Callback = InlineFunction;
 
   /// Schedules `cb` at absolute time `when`; returns its id. Ties at the
-  /// same instant fire in schedule order (tag 0, FIFO).
-  EventId schedule(SimTime when, Callback cb) {
+  /// same instant fire in schedule order (tag 0, FIFO). Every scheduling
+  /// entry point takes the callback as Callback&&, so a closure is
+  /// relocated once on the way into its slot, not once per call layer.
+  EventId schedule(SimTime when, Callback&& cb) {
     return schedule_tagged(when, 0, std::move(cb));
   }
 
@@ -53,7 +55,7 @@ class EventQueue {
   /// schedule() — before all tagged events); equal tags fall back to
   /// schedule order. Tags let the sharded engine impose an execution-
   /// independent total order on cross-shard arrivals.
-  EventId schedule_tagged(SimTime when, std::uint64_t tag, Callback cb);
+  EventId schedule_tagged(SimTime when, std::uint64_t tag, Callback&& cb);
 
   /// Cancels a pending event. Returns true if it was still pending;
   /// cancelling an already-fired or unknown id returns false.
@@ -155,7 +157,7 @@ class EventQueue {
 // ---- hot path, kept inline (header) for cross-TU inlining ----
 
 inline EventId EventQueue::schedule_tagged(SimTime when, std::uint64_t tag,
-                                           Callback cb) {
+                                           Callback&& cb) {
   CESRM_CHECK_MSG(cb != nullptr, "null event callback");
   std::uint32_t slot;
   if (free_head_ != kNoSlot) {

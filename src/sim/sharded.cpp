@@ -48,7 +48,7 @@ std::size_t ShardedEngine::current_shard_index() const {
 }
 
 void ShardedEngine::schedule_from(int from, int dest, SimTime when,
-                                  EventQueue::Callback cb) {
+                                  EventQueue::Callback&& cb) {
   const std::uint64_t tag = next_tag(from);
   const int dst = shard_of(dest);
   const std::size_t me = current_shard_index();

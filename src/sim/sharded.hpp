@@ -83,7 +83,7 @@ class ShardedEngine {
   /// to the mailbox and drained at the window barrier — `when` must then
   /// lie at or beyond the current window's end (conservative lookahead).
   void schedule_from(int from, int dest, SimTime when,
-                     EventQueue::Callback cb);
+                     EventQueue::Callback&& cb);
 
   /// Runs all shards to `horizon` (inclusive, like Simulator::run_until)
   /// on shards() threads, then clamps every shard clock to `horizon`.

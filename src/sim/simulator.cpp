@@ -14,19 +14,19 @@ double wall_now_seconds() {
 }
 }  // namespace
 
-EventId Simulator::schedule_in(SimTime delay, EventQueue::Callback cb) {
+EventId Simulator::schedule_in(SimTime delay, EventQueue::Callback&& cb) {
   if (delay.is_negative()) delay = SimTime::zero();
   return queue_.schedule(now_ + delay, std::move(cb));
 }
 
-EventId Simulator::schedule_at(SimTime when, EventQueue::Callback cb) {
+EventId Simulator::schedule_at(SimTime when, EventQueue::Callback&& cb) {
   CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
                                  << " now=" << now_);
   return queue_.schedule(when, std::move(cb));
 }
 
 EventId Simulator::schedule_at_tagged(SimTime when, std::uint64_t tag,
-                                      EventQueue::Callback cb) {
+                                      EventQueue::Callback&& cb) {
   CESRM_CHECK_MSG(when >= now_, "scheduling into the past: when=" << when
                                  << " now=" << now_);
   return queue_.schedule_tagged(when, tag, std::move(cb));

@@ -30,17 +30,17 @@ class Simulator {
 
   /// Schedules `cb` at `now() + delay`; negative delays are clamped to now
   /// (a zero-delay event still runs after the current event completes).
-  EventId schedule_in(SimTime delay, EventQueue::Callback cb);
+  EventId schedule_in(SimTime delay, EventQueue::Callback&& cb);
 
   /// Schedules `cb` at absolute time `when`; `when` must be >= now().
-  EventId schedule_at(SimTime when, EventQueue::Callback cb);
+  EventId schedule_at(SimTime when, EventQueue::Callback&& cb);
 
   /// Schedules `cb` at `when` with an explicit ordering tag (see
   /// EventQueue::schedule_tagged). The sharded engine routes cross-shard
   /// arrivals through this so same-instant ties order identically for any
   /// shard count; plain schedule_at/in use tag 0 (historical FIFO).
   EventId schedule_at_tagged(SimTime when, std::uint64_t tag,
-                             EventQueue::Callback cb);
+                             EventQueue::Callback&& cb);
 
   /// Cancels a pending event; returns true if it had not yet fired.
   bool cancel(EventId id) { return queue_.cancel(id); }

@@ -239,11 +239,17 @@ std::size_t SrmAgent::outstanding_losses() const {
   return n;
 }
 
+std::size_t SrmAgent::reply_states() const {
+  std::size_t n = 0;
+  for (const auto& [source, s] : streams_) n += s.reply.size();
+  return n;
+}
+
 std::size_t SrmAgent::stalled_losses() const {
   std::size_t n = 0;
   for (const auto& [source, s] : streams_)
     for (const auto& [seq, want] : s.want)
-      if (!want->request_timer || !want->request_timer->armed()) ++n;
+      if (!want.request_timer.armed()) ++n;
   return n;
 }
 
@@ -253,10 +259,10 @@ void SrmAgent::finalize_stats() {
       RecoveryRecord rec;
       rec.source = source;
       rec.seq = seq;
-      rec.detect_time = want->detect_time;
+      rec.detect_time = want.detect_time;
       rec.recover_time = sim::SimTime::infinity();
       rec.recovered = false;
-      rec.rounds = want->backoff;
+      rec.rounds = want.backoff;
       stats_.recoveries.push_back(rec);
     }
     s.want.clear();
@@ -350,15 +356,14 @@ SrmAgent::WantState* SrmAgent::detect_loss(net::NodeId source,
                                            net::SeqNo seq, bool suppressed) {
   if (originates(source) || has_packet(source, seq)) return nullptr;
   StreamState& s = stream(source);
-  if (auto it = s.want.find(seq); it != s.want.end()) return it->second.get();
+  const auto [it, fresh] = s.want.try_emplace(
+      seq, sim_, [this, source, seq] { request_timer_fired(source, seq); });
+  WantState* want = &it->second;
+  if (!fresh) return want;
 
-  auto state = std::make_unique<WantState>();
-  WantState* want = state.get();
   want->source = source;
   want->seq = seq;
   want->detect_time = sim_.now();
-  want->request_timer = std::make_unique<sim::Timer>(
-      sim_, [this, source, seq] { request_timer_fired(source, seq); });
   ++stats_.losses_detected;
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kLossDetected, self_, source, seq,
@@ -369,19 +374,18 @@ SrmAgent::WantState* SrmAgent::detect_loss(net::NodeId source,
     // already backed off to round 1, and the back-off abstinence period
     // for that round begins.
     want->backoff = 1;
-    want->request_timer->arm(draw_request_delay(source, want->backoff));
+    want->request_timer.arm(draw_request_delay(source, want->backoff));
     want->abstinence_until =
         sim_.now() + sim::SimTime::from_seconds(
                          std::ldexp(config_.c3 * distance_to(source),
                                     want->backoff));
   } else {
     want->backoff = 0;
-    want->request_timer->arm(draw_request_delay(source, 0));
+    want->request_timer.arm(draw_request_delay(source, 0));
   }
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
               seq, net::kInvalidNode, want->backoff);
-  s.want.emplace(seq, std::move(state));
   on_loss_detected(*want);
   return want;
 }
@@ -406,7 +410,7 @@ void SrmAgent::mark_received(const net::Packet& via) {
   s.received[static_cast<std::size_t>(seq)] = true;
 
   if (auto it = s.want.find(seq); it != s.want.end()) {
-    WantState& want = *it->second;
+    WantState& want = it->second;
     RecoveryRecord rec;
     rec.source = via.source;
     rec.seq = seq;
@@ -484,8 +488,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
   StreamState& s = stream(source);
   const auto it = s.want.find(seq);
   CESRM_CHECK_MSG(it != s.want.end(), "request timer for unknown loss");
-  WantState& want = *it->second;
-  CESRM_CHECK(!want.recovered);
+  WantState& want = it->second;
 
   ++stats_.requests_sent;
   ++want.requests_seen;
@@ -498,7 +501,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
                                                  distance_to(source)));
   // Schedule the next round.
   want.backoff = std::min(want.backoff + 1, kMaxRequestBackoff);
-  want.request_timer->arm(draw_request_delay(source, want.backoff));
+  want.request_timer.arm(draw_request_delay(source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestScheduled, self_, source,
               seq, net::kInvalidNode, want.backoff);
@@ -512,7 +515,7 @@ void SrmAgent::backoff_request(WantState& want) {
   if (sim_.now() < want.abstinence_until)
     return;  // same recovery round: discard (§2.1 back-off abstinence)
   want.backoff = std::min(want.backoff + 1, kMaxRequestBackoff);
-  want.request_timer->arm(draw_request_delay(want.source, want.backoff));
+  want.request_timer.arm(draw_request_delay(want.source, want.backoff));
   if (auto* rec = sim_.recorder())
     rec->emit(sim_.now(), obs::EventKind::kRequestSuppressed, self_,
               want.source, want.seq, net::kInvalidNode, want.backoff);
@@ -541,7 +544,7 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
     const double d2 = rep_ctrl_ ? rep_ctrl_->probabilistic() : config_.d2;
     const double lo = d1 * d;
     const double hi = (d1 + d2) * d;
-    rs.reply_timer->arm(sim::SimTime::from_seconds(rng_.uniform(lo, hi)));
+    rs.reply_timer.arm(sim::SimTime::from_seconds(rng_.uniform(lo, hi)));
     if (auto* rec = sim_.recorder())
       rec->emit(sim_.now(), obs::EventKind::kRepairScheduled, self_,
                 pkt.source, pkt.seq, rs.requestor);
@@ -552,8 +555,8 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
   // is the first we hear of the packet, detect it in suppressed mode.
   StreamState& s = stream(pkt.source);
   if (auto it = s.want.find(pkt.seq); it != s.want.end()) {
-    ++it->second->requests_seen;
-    backoff_request(*it->second);
+    ++it->second.requests_seen;
+    backoff_request(it->second);
   } else if (WantState* fresh =
                  detect_loss(pkt.source, pkt.seq, /*suppressed=*/true)) {
     ++fresh->requests_seen;
@@ -566,15 +569,11 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
 
 SrmAgent::ReplyState& SrmAgent::reply_state(net::NodeId source,
                                             net::SeqNo seq) {
-  StreamState& s = stream(source);
-  auto it = s.reply.find(seq);
-  if (it == s.reply.end()) {
-    auto state = std::make_unique<ReplyState>();
-    state->reply_timer = std::make_unique<sim::Timer>(
-        sim_, [this, source, seq] { reply_timer_fired(source, seq); });
-    it = s.reply.emplace(seq, std::move(state)).first;
-  }
-  return *it->second;
+  return stream(source)
+      .reply
+      .try_emplace(seq, sim_,
+                   [this, source, seq] { reply_timer_fired(source, seq); })
+      .first->second;
 }
 
 void SrmAgent::reply_timer_fired(net::NodeId source, net::SeqNo seq) {
@@ -636,7 +635,7 @@ void SrmAgent::handle_reply(const net::Packet& pkt) {
   }
   if (rs.scheduled) {
     rs.scheduled = false;
-    rs.reply_timer->cancel();
+    rs.reply_timer.cancel();
     if (auto* rec = sim_.recorder())
       rec->emit(sim_.now(), obs::EventKind::kRepairSuppressed, self_,
                 pkt.source, pkt.seq, pkt.sender);
@@ -663,10 +662,16 @@ void SrmAgent::session_timer_fired() {
   }
   auto payload = std::make_shared<net::SessionPayload>();
   payload->stamp = sim_.now();
-  for (const auto& [source, s] : streams_) {
+  for (auto& [source, s] : streams_) {
     const net::SeqNo highest =
         originates(source) ? s.last_sent : s.highest_seq;
     if (highest >= 0) payload->streams.push_back({source, highest});
+    // No ReplyState& is held across a session tick, so this is where
+    // inert reply records go; each decides like the fresh one
+    // reply_state() would make.
+    std::erase_if(s.reply, [now = sim_.now()](const auto& entry) {
+      return entry.second.inert(now);
+    });
   }
   payload->echoes = dist_.build_echoes(sim_.now());
   ++stats_.session_sent;

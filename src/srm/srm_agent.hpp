@@ -44,6 +44,7 @@
 #include <cstdint>
 #include <map>
 #include <memory>
+#include <optional>
 #include <set>
 #include <span>
 #include <tuple>
@@ -253,6 +254,9 @@ class SrmAgent : public net::Agent {
 
   /// Losses detected but not yet recovered, over all streams.
   std::size_t outstanding_losses() const;
+  /// Reply records held, over all streams: packets with a reply scheduled
+  /// or in abstinence, plus inert ones since the last session tick.
+  std::size_t reply_states() const;
 
   /// Known-missing packets still queued for paced re-detection after a
   /// recover() (zero whenever the member is fully caught up).
@@ -282,27 +286,40 @@ class SrmAgent : public net::Agent {
   virtual void finalize_stats();
 
  protected:
-  /// Request-side state for a packet this member lost.
+  /// Request-side state for a packet this member lost. Held by value in
+  /// StreamState::want with its timers inline: a Timer never moves, and
+  /// neither does an unordered_map node.
   struct WantState {
+    WantState(sim::Simulator& sim, sim::Timer::Callback on_request)
+        : request_timer(sim, std::move(on_request)) {}
     net::NodeId source = net::kInvalidNode;
     net::SeqNo seq = net::kNoSeq;
     int backoff = 0;  ///< k: times a request has been scheduled
-    std::unique_ptr<sim::Timer> request_timer;
+    sim::Timer request_timer;
     sim::SimTime abstinence_until = sim::SimTime::zero();
     sim::SimTime detect_time;
-    bool recovered = false;
     // --- adaptive-timer bookkeeping (Floyd et al. §V) ---
     int requests_seen = 0;  ///< own + foreign requests during this episode
     sim::SimTime first_own_request = sim::SimTime::infinity();
     // --- CESRM expedited-recovery extension state ---
-    std::unique_ptr<sim::Timer> exp_timer;
+    /// CESRM's expedited request or LMS's retry; empty until the
+    /// subclass creates it.
+    std::optional<sim::Timer> exp_timer;
     net::NodeId exp_replier = net::kInvalidNode;
     net::RecoveryAnnotation exp_ann;
   };
 
-  /// Reply-side state for a packet this member holds.
+  /// Reply-side state for a packet this member holds. It matters only
+  /// while a reply is scheduled and during the D3·d̂hh' abstinence after
+  /// it (§2.2); once inert, a fresh entry decides exactly the same, so
+  /// session_timer_fired() erases it.
   struct ReplyState {
-    std::unique_ptr<sim::Timer> reply_timer;
+    ReplyState(sim::Simulator& sim, sim::Timer::Callback on_reply)
+        : reply_timer(sim, std::move(on_reply)) {}
+    bool inert(sim::SimTime now) const {
+      return !scheduled && abstinence_until <= now;
+    }
+    sim::Timer reply_timer;  ///< armed exactly while `scheduled`
     bool scheduled = false;
     net::NodeId requestor = net::kInvalidNode;
     double requestor_dist_to_src = 0.0;
@@ -316,8 +333,8 @@ class SrmAgent : public net::Agent {
     std::vector<bool> received;             ///< indexed by seq (receivers)
     net::SeqNo highest_seq = net::kNoSeq;   ///< highest known-to-exist seq
     net::SeqNo last_sent = net::kNoSeq;     ///< originator only
-    std::unordered_map<net::SeqNo, std::unique_ptr<WantState>> want;
-    std::unordered_map<net::SeqNo, std::unique_ptr<ReplyState>> reply;
+    std::unordered_map<net::SeqNo, WantState> want;
+    std::unordered_map<net::SeqNo, ReplyState> reply;
   };
 
   // --- hooks overridden by CesrmAgent ---

@@ -494,6 +494,46 @@ TEST(CesrmAgent, RepliesForPacketsNotLostDoNotTouchCache) {
   EXPECT_FALSE(b.at(5).cache().empty());
 }
 
+TEST(CesrmAgent, ReplyNamingARouterAsReplierNeverReachesTheCache) {
+  // Router 1 is in the tree but runs no agent. A reply naming it as the
+  // replier must not seed the cache, or the next loss on that link would
+  // send its expedited request to a node that cannot answer.
+  CesrmBench b;
+  b.drop(0, 3);
+  b.drop(10, 3);
+  b.transmit(12);
+  b.run_for(SimTime::millis(130));  // 3 has detected the loss of 0
+  ASSERT_EQ(b.at(3).outstanding_losses(), 1u);
+  net::RecoveryAnnotation ann;
+  ann.requestor = 3;
+  ann.dist_requestor_source = 0.02;
+  ann.replier = 1;
+  ann.dist_replier_requestor = 0.01;
+  b.network->multicast(1, net::make_reply_packet(1, 0, 0, ann));
+  b.run_for(SimTime::millis(50));
+  EXPECT_TRUE(b.at(3).has_packet(0));
+  EXPECT_TRUE(b.at(3).cache().empty());
+
+  // The next loss on that link recovers through SRM, whose reply then
+  // seeds the cache with a member.
+  b.run_for(SimTime::seconds(20));
+  EXPECT_EQ(b.at(3).outstanding_losses(), 0u);
+  EXPECT_EQ(b.at(3).stats().exp_requests_sent, 0u);
+  ASSERT_FALSE(b.at(3).cache().empty());
+  const NodeId replier = b.at(3).cache().most_recent()->replier;
+  EXPECT_TRUE(b.tree->is_root(replier) || b.tree->is_leaf(replier));
+}
+
+TEST(CesrmAgent, RestoredTupleNamingARouterAsReplierIsDropped) {
+  CesrmBench b;
+  b.at(3).fail();
+  b.at(3).restore_cache_tuple(0, tuple(5, 4, 0.02, /*router*/ 1, 0.01));
+  EXPECT_TRUE(b.at(3).cache().empty());
+  b.at(3).restore_cache_tuple(0, tuple(6, 4, 0.02, 4, 0.02));
+  ASSERT_FALSE(b.at(3).cache().empty());
+  EXPECT_EQ(b.at(3).cache().most_recent()->replier, 4);
+}
+
 // ---------------------------------------------------- membership churn ----
 
 TEST(CesrmAgent, AdaptsWhenCachedReplierCrashes) {

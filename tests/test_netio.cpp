@@ -18,6 +18,7 @@
 #include <thread>
 #include <vector>
 
+#include "cesrm/cesrm_agent.hpp"
 #include "net/topology_builder.hpp"
 #include "netio/clock.hpp"
 #include "netio/reactor.hpp"
@@ -331,9 +332,10 @@ std::vector<std::uint8_t> parse_hex_file(const std::filesystem::path& path) {
 /// corpus replay: datagrams are pushed at its unicast endpoint from a
 /// plain socket and the reactor is polled until they surface. The tree
 /// holds every node id the corpus frames name (up to the ok-session
-/// frame's stream advert from 7), with this member at leaf 1.
+/// frame's stream advert from 7), with this member at leaf 1. A test that
+/// needs routers passes its own tree, member and protocol.
 struct LiveMember {
-  net::MulticastTree tree = net::parse_tree("0(1 2 3 4 5 6 7)");
+  net::MulticastTree tree;
   AddressPlan plan;
   ShimConfig shim_cfg;
   std::unique_ptr<LossShim> shim;
@@ -342,7 +344,10 @@ struct LiveMember {
   std::unique_ptr<SocketTransport> transport;
   std::unique_ptr<srm::SrmAgent> agent;
 
-  explicit LiveMember(std::uint16_t mcast_port) {
+  explicit LiveMember(std::uint16_t mcast_port,
+                      const char* tree_text = "0(1 2 3 4 5 6 7)",
+                      net::NodeId self = 1, bool cesrm = false)
+      : tree(net::parse_tree(tree_text)) {
     plan.mcast_port = mcast_port;
     plan.unicast.assign(tree.size(), Endpoint{});
     // Must be nonzero: agents derive request-timer delays from path_delay,
@@ -350,12 +355,17 @@ struct LiveMember {
     shim_cfg.link_delay = SimTime::millis(1);
     shim = std::make_unique<LossShim>(tree, shim_cfg);
     transport =
-        std::make_unique<SocketTransport>(reactor, tree, plan, *shim, 1);
+        std::make_unique<SocketTransport>(reactor, tree, plan, *shim, self);
     for (net::NodeId leaf : tree.receivers())  // every member loops to self
       plan.unicast[static_cast<std::size_t>(leaf)] =
           transport->unicast_endpoint();
-    agent = std::make_unique<srm::SrmAgent>(reactor.sim(), *transport, 1, 0,
-                                            srm::SrmConfig{}, util::Rng(1));
+    if (cesrm)
+      agent = std::make_unique<::cesrm::cesrm::CesrmAgent>(
+          reactor.sim(), *transport, self, 0, ::cesrm::cesrm::CesrmConfig{},
+          util::Rng(1));
+    else
+      agent = std::make_unique<srm::SrmAgent>(
+          reactor.sim(), *transport, self, 0, srm::SrmConfig{}, util::Rng(1));
   }
 
   /// Sends `bytes` to the member's unicast socket and polls until the
@@ -458,6 +468,49 @@ TEST(NetioWireCorpus, FramesNamingOutOfTreeNodesNeverReachTheAgent) {
     member.reactor.poll_once(SimTime::millis(5));
   EXPECT_EQ(stats.wire_packets_decoded, 1u);
   EXPECT_EQ(member.transport->stats().out_of_tree, 1u);
+}
+
+TEST(NetioWireCorpus, RepliesNamingARouterAsReplierNeverReachTheCache) {
+  // Router 1 is in the tree, so the frame passes the out-of-tree filter.
+  // The agent must still refuse to cache it: the next loss would send an
+  // expedited request to router 1, which has no unicast endpoint, and
+  // SocketTransport::unicast would fail its CHECK inside the reactor.
+  LiveMember member(47565, "0(1(2 3) 4)", /*self=*/2, /*cesrm=*/true);
+  auto& agent = static_cast<::cesrm::cesrm::CesrmAgent&>(*member.agent);
+  UdpSocket tx;
+  const auto push = [&](const net::Packet& pkt) {
+    const std::uint64_t decoded = agent.stats().wire_packets_decoded + 1;
+    member.deliver(wire::encode_packet(pkt), tx);
+    for (int i = 0; i < 2000 && agent.stats().wire_packets_decoded < decoded;
+         ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+    ASSERT_EQ(agent.stats().wire_packets_decoded, decoded);
+  };
+  push(net::make_data_packet(0, 1));  // reveals the loss of 0
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(agent.outstanding_losses(), 1u);
+  net::RecoveryAnnotation ann;
+  ann.requestor = 2;
+  ann.dist_requestor_source = 0.002;
+  ann.replier = 1;
+  ann.dist_replier_requestor = 0.001;
+  push(net::make_reply_packet(1, 0, 0, ann));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_TRUE(agent.has_packet(0));
+  EXPECT_TRUE(agent.cache().empty());
+
+  // A later loss runs to completion: no expedited request goes out, and a
+  // member's reply repairs it.
+  push(net::make_data_packet(0, 3));  // reveals the loss of 2
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(agent.outstanding_losses(), 1u);
+  for (int i = 0; i < 10; ++i) member.reactor.poll_once(SimTime::millis(5));
+  ann.replier = 4;
+  push(net::make_reply_packet(4, 0, 2, ann));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(agent.outstanding_losses(), 0u);
+  EXPECT_EQ(agent.stats().exp_requests_sent, 0u);
+  EXPECT_EQ(agent.cache().most_recent()->replier, 4);
 }
 
 // ------------------------------------------------- loopback full runs ----

@@ -3,6 +3,7 @@
 // distance estimation, and recovery completion.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <memory>
 #include <set>
 
@@ -391,6 +392,35 @@ TEST(SrmAgent, DeterministicForIdenticalSeeds) {
   };
   EXPECT_EQ(run(77), run(77));
   EXPECT_NE(run(77), run(78));  // jitter actually depends on the seed
+}
+
+TEST(SrmAgent, ReplyStateIsDroppedOnceItsAbstinenceEnds) {
+  // A reply record matters only while a reply is scheduled and during the
+  // abstinence after it; the session tick erases the rest. So each
+  // member holds about one session period's worth of records, not one
+  // per packet repaired over the whole run.
+  SrmBench b;
+  for (SeqNo i = 0; i < 400; i += 3) b.drop(i, 1);  // 3 and 4 lose these
+  for (SeqNo i = 1; i < 400; i += 5) b.drop(i, 5);
+  SimTime offset = SimTime::millis(50);
+  for (auto& a : b.agents) {
+    a->start_session(offset);
+    offset = offset + SimTime::millis(230);
+  }
+  b.transmit(400);
+  std::size_t peak = 0;
+  for (int tick = 0; tick < 400; ++tick) {
+    b.run_for(SimTime::millis(100));
+    for (auto& a : b.agents) peak = std::max(peak, a->reply_states());
+  }
+  std::size_t repaired = 0;
+  for (NodeId n : {3, 4, 5}) {
+    EXPECT_EQ(b.at(n).outstanding_losses(), 0u) << "node " << n;
+    for (const RecoveryRecord& r : b.at(n).stats().recoveries)
+      repaired += r.recovered ? 1 : 0;
+  }
+  EXPECT_GE(repaired, 100u);
+  EXPECT_LE(peak, 20u);
 }
 
 TEST(SrmAgent, FinalizeRecordsUnrecoveredLosses) {
