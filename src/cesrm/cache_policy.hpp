@@ -98,9 +98,10 @@ CachePolicyKind parse_cache_policy(const std::string& name);
 
 /// True for policies that are pointless without CacheSideInfo (confidence,
 /// oracle): they degrade to recency-like behavior when none is installed.
-/// Front ends use this to fail fast with a friendly message in contexts
-/// that cannot provide side info, instead of silently degrading (or
-/// crashing deep in a factory).
+/// The one place that names these policies: harness::run_experiment asks
+/// it to install side info from the trace, and front ends with no trace to
+/// back side info (cesrm_cli netio-run) ask it to refuse the policy with a
+/// friendly message instead of silently degrading.
 bool cache_policy_needs_side_info(CachePolicyKind kind);
 /// The side-info-requiring policy names, comma-joined — for messages.
 const char* cache_policies_needing_side_info();

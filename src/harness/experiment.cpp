@@ -138,15 +138,14 @@ ExperimentResult run_experiment_impl(
 
   const net::NodeId source = tree.root();
 
-  // Side info for the confidence/oracle cache policies. Auto-installed
-  // from the trace when the selected policy wants it and the caller did
-  // not supply its own; declared before the agents so it outlives them.
+  // Side info for the cache policies that need it. Auto-installed from
+  // the trace when the selected policy wants it and the caller did not
+  // supply its own; declared before the agents so it outlives them.
   cesrm::CesrmConfig cesrm_cfg = config.cesrm;
   std::optional<LinkTraceSideInfo> side_info;
   if (config.protocol == Protocol::kCesrm &&
       cesrm_cfg.cache.side_info == nullptr &&
-      (cesrm_cfg.cache.policy == cesrm::CachePolicyKind::kConfidence ||
-       cesrm_cfg.cache.policy == cesrm::CachePolicyKind::kOracle)) {
+      cesrm::cache_policy_needs_side_info(cesrm_cfg.cache.policy)) {
     side_info.emplace(loss_trace, links);
     cesrm_cfg.cache.side_info = &*side_info;
   }

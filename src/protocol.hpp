@@ -1,11 +1,10 @@
 // protocol.hpp — the one protocol-selection enum of the repository.
 //
-// Every layer that picks a loss-recovery protocol — the application-facing
-// api::SessionConfig, the trace-driven harness::ExperimentConfig, the
-// bench sweeps and the CLI — selects from this single enum. (It used to be
-// duplicated as api::Transport and harness::Protocol; the ns-3/ccns3Sim
+// Every layer that picks a loss-recovery protocol — the trace-driven
+// harness::ExperimentConfig, the loopback netio::NetioRunConfig, the bench
+// sweeps and the CLI — selects from this single enum. (The ns-3/ccns3Sim
 // experience is that a reusable simulator reproduction needs exactly one
-// such switch, shared by the session API and the experiment harness.)
+// such switch, shared by every front end.)
 #pragma once
 
 #include <optional>

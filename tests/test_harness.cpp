@@ -106,6 +106,15 @@ TEST(Experiment, SrmSendsNoExpeditedTraffic) {
   EXPECT_EQ(w.srm.total_exp_replies_sent(), 0u);
   EXPECT_EQ(w.srm.crossings.total_of(net::PacketType::kExpRequest), 0u);
   EXPECT_EQ(w.srm.crossings.total_of(net::PacketType::kExpReply), 0u);
+  // SRM members have no recovery cache: every cache counter stays zero.
+  for (const auto& m : w.srm.members) {
+    EXPECT_EQ(m.stats.cache_hits, 0u) << "node " << m.node;
+    EXPECT_EQ(m.stats.cache_misses, 0u) << "node " << m.node;
+    EXPECT_EQ(m.stats.cache_insertions, 0u) << "node " << m.node;
+    EXPECT_EQ(m.stats.cache_updates, 0u) << "node " << m.node;
+    EXPECT_EQ(m.stats.cache_evictions, 0u) << "node " << m.node;
+    EXPECT_EQ(m.stats.cache_rejects, 0u) << "node " << m.node;
+  }
 }
 
 TEST(Experiment, CesrmUsesExpeditedRecoveryHeavily) {

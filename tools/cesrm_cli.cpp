@@ -15,15 +15,18 @@
 //       observations; with ground truth present, report the estimation
 //       error and the link-combination confidence statistics of §4.2.
 //
-//   simulate  --in=FILE [--protocol=srm|cesrm] [--router-assist]
+//   simulate  --in=FILE [--protocol=srm|cesrm|lms] [--router-assist]
 //             [--policy=most-recent|most-frequent] [--adaptive]
 //             [--cache-policy=recency|confidence|sharded|oracle]
+//             [--link-delay-ms=T]
 //       Replay the trace under one protocol and print the recovery
 //       summary.
 //
-//   compare   --in=FILE
+//   compare   --in=FILE [--link-delay-ms=T]
 //       Replay under SRM and CESRM and print the paper's headline
 //       comparison (Figure 1 per-receiver table + Figure 5 numbers).
+//       simulate's tuning flags (--router-assist ... --link-delay-ms)
+//       apply as well.
 //
 //   wire-gen  --out=FILE [--count=N] [--seed=S]
 //       Write a binary trace of N random protocol-shaped PDUs in the v1
@@ -62,7 +65,9 @@
 //       seeded losses injected at the sockets, and the post-run
 //       InvariantOracle verdict (any unrecovered loss fails the run).
 //       Prints the same recovery summary as 'simulate'; --trace-out and
-//       --json apply. Linux-only (epoll).
+//       --json apply. Refuses the confidence and oracle cache policies:
+//       a live group has no loss trace to back their side info.
+//       Linux-only (epoll).
 
 #include <algorithm>
 #include <fstream>
@@ -213,8 +218,9 @@ int cmd_estimate(const util::CliFlags& flags) {
   return 0;
 }
 
-// Builds the simulate/compare experiment config; nullopt (after a one-line
-// friendly stderr message, not a CHECK crash) on bad flag values.
+// Builds the simulate/compare experiment config (netio-run reuses it for
+// the flags they share); nullopt (after a one-line friendly stderr
+// message, not a CHECK crash) on bad flag values.
 std::optional<harness::ExperimentConfig> config_from_flags(
     const util::CliFlags& flags) {
   harness::ExperimentConfig cfg;
@@ -228,18 +234,12 @@ std::optional<harness::ExperimentConfig> config_from_flags(
     return std::nullopt;
   }
   cfg.cesrm.cache.policy = *cache_policy;
-  // simulate/compare have no loss ground truth wired into the cache, so
-  // the side-info policies would silently degrade to recency — refuse
-  // them up front with a message instead.
-  if (::cesrm::cesrm::cache_policy_needs_side_info(*cache_policy)) {
-    std::cerr << "--cache-policy "
-              << ::cesrm::cesrm::cache_policy_name(*cache_policy)
-              << " needs cache side info, which this command does not "
-                 "provide (policies needing side info: "
-              << ::cesrm::cesrm::cache_policies_needing_side_info()
-              << "); pick another policy\n";
+  const std::int64_t link_delay_ms = flags.get_int("link-delay-ms");
+  if (link_delay_ms < 1) {
+    std::cerr << "bad --link-delay-ms: " << link_delay_ms << " (want >= 1)\n";
     return std::nullopt;
   }
+  cfg.network.link_delay = sim::SimTime::millis(link_delay_ms);
   const auto durable_mode =
       durable::try_parse_durable_mode(flags.get_string("durable"));
   if (!durable_mode) {
@@ -514,9 +514,21 @@ int cmd_compare(const util::CliFlags& flags) {
 // through main's catch with the sockets' own friendly hints.
 int cmd_netio_run(const util::CliFlags& flags) {
   // Reuse the simulate/compare validation for the shared protocol flags
-  // (cache-policy side-info refusal, --trace-out extension, seed).
+  // (cache policy, --link-delay-ms, --trace-out extension, seed).
   const auto maybe_cfg = config_from_flags(flags);
   if (!maybe_cfg) return 1;
+  // A live group has no loss trace to back cache side info, so the
+  // policies needing it would silently degrade to recency: refuse them.
+  const auto cache_policy = maybe_cfg->cesrm.cache.policy;
+  if (::cesrm::cesrm::cache_policy_needs_side_info(cache_policy)) {
+    std::cerr << "netio-run: --cache-policy "
+              << ::cesrm::cesrm::cache_policy_name(cache_policy)
+              << " needs cache side info, which a live group does not "
+                 "have (policies needing side info: "
+              << ::cesrm::cesrm::cache_policies_needing_side_info()
+              << "); pick another policy\n";
+    return 1;
+  }
 
   netio::NetioRunConfig cfg;
   cfg.cesrm = maybe_cfg->cesrm;
@@ -557,7 +569,7 @@ int cmd_netio_run(const util::CliFlags& flags) {
   cfg.shim.seed = cfg.seed;
   cfg.shim.data_loss = flags.get_double("data-loss");
   cfg.shim.control_loss = flags.get_double("control-loss");
-  cfg.shim.link_delay = sim::SimTime::millis(flags.get_int("link-delay-ms"));
+  cfg.shim.link_delay = maybe_cfg->network.link_delay;
   cfg.shim.jitter = sim::SimTime::millis(flags.get_int("jitter-ms"));
   const std::string lossy = flags.get_string("lossy-links");
   if (!lossy.empty()) {
@@ -1005,24 +1017,31 @@ int main(int argc, char** argv) {
   flags.add_string("mcast-addr", "239.192.58.1",
                    "multicast group for 'netio-run' (IPv4, on loopback)");
   flags.add_int("mcast-port", 47500,
-                "shared UDP port every member's group socket binds");
+                "shared UDP port every 'netio-run' member's group socket "
+                "binds");
   flags.add_double("data-loss", 0.0,
-                   "seeded per-link DATA drop probability at the sockets");
+                   "seeded per-link DATA drop probability at the "
+                   "'netio-run' sockets");
   flags.add_double("control-loss", 0.0,
-                   "seeded per-link control drop probability (requests/"
-                   "replies; sessions are never dropped)");
+                   "seeded per-link control drop probability for "
+                   "'netio-run' (requests/replies; sessions are never "
+                   "dropped)");
   flags.add_int("link-delay-ms", 20,
-                "emulated per-hop propagation delay (>= 1)");
-  flags.add_int("jitter-ms", 0, "max extra seeded per-arrival jitter");
+                "per-link one-way propagation delay for simulate/compare/"
+                "netio-run (>= 1)");
+  flags.add_int("jitter-ms", 0,
+                "max extra seeded per-arrival jitter for 'netio-run'");
   flags.add_string("lossy-links", "",
-                   "restrict seeded loss to these links (comma-separated "
-                   "child-node ids; empty = every link)");
+                   "restrict 'netio-run' seeded loss to these links "
+                   "(comma-separated child-node ids; empty = every link)");
   flags.add_int("packets", 50, "data packets the netio-run source sends");
   flags.add_int("period-ms", 20, "data transmission period for 'netio-run'");
   flags.add_int("warmup-ms", 750,
-                "session-only warm-up before the first data packet");
+                "session-only warm-up before the first 'netio-run' data "
+                "packet");
   flags.add_int("drain-ms", 3000,
-                "tail-recovery window after the last data packet");
+                "tail-recovery window after the last 'netio-run' data "
+                "packet");
   flags.add_int("session-ms", 500,
                 "session period for 'netio-run' (doubles as the tail-loss "
                 "detection bound)");

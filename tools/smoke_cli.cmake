@@ -9,6 +9,8 @@ foreach(args
     "simulate;--in=${trace_file};--protocol=cesrm;--router-assist"
     "simulate;--in=${trace_file};--protocol=lms"
     "compare;--in=${trace_file}"
+    "simulate;--in=${trace_file};--protocol=cesrm;--cache-policy=oracle"
+    "compare;--in=${trace_file};--cache-policy=confidence"
     "wire-gen;--out=${WORK}/smoke.wire;--count=200;--seed=42"
     "wire-check;--in=${WORK}/smoke.wire"
     "wire-dump;--in=${WORK}/smoke.wire;--max=3")
@@ -25,6 +27,32 @@ execute_process(COMMAND ${CLI} simulate --in=${trace_file} --protocol=lms
   RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
 if(NOT rc EQUAL 1)
   message(FATAL_ERROR "simulate --protocol=lms --json exited ${rc}, want 1")
+endif()
+
+# Refused before any work (exit 1): a link delay below 1 ms, and the
+# confidence/oracle cache policies on netio-run, whose live group has no
+# loss trace to back their side info (simulate/compare above run them).
+foreach(args
+    "simulate;--in=${trace_file};--link-delay-ms=0"
+    "netio-run;--cache-policy=oracle")
+  execute_process(COMMAND ${CLI} ${args}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
+  if(NOT rc EQUAL 1)
+    message(FATAL_ERROR "cesrm_cli ${args} exited ${rc}, want 1")
+  endif()
+endforeach()
+
+# --link-delay-ms reaches the simulated network: a shorter delay changes
+# the replay.
+execute_process(COMMAND ${CLI} simulate --in=${trace_file}
+  RESULT_VARIABLE rc OUTPUT_VARIABLE default_out ERROR_QUIET)
+execute_process(COMMAND ${CLI} simulate --in=${trace_file} --link-delay-ms=10
+  RESULT_VARIABLE rc10 OUTPUT_VARIABLE delay10_out ERROR_QUIET)
+if(NOT rc EQUAL 0 OR NOT rc10 EQUAL 0)
+  message(FATAL_ERROR "simulate exited ${rc} (default) / ${rc10} (10 ms)")
+endif()
+if(default_out STREQUAL delay10_out)
+  message(FATAL_ERROR "simulate --link-delay-ms=10 printed the default run")
 endif()
 
 # Malformed input must be diagnosed (exit 2), never crash.
