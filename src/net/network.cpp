@@ -1,5 +1,8 @@
 #include "net/network.hpp"
 
+#include <algorithm>
+#include <bit>
+
 #include "obs/trace_recorder.hpp"
 #include "util/check.hpp"
 
@@ -109,57 +112,86 @@ sim::SimTime Network::transmit(NodeId from, NodeId to, int size_bytes) {
   return start + tx + config_.link_delay;
 }
 
-bool Network::crossing_lost(const Packet& pkt, NodeId from, NodeId to) {
+bool Network::cross(const Packet& pkt, NodeId from, NodeId to, Mode mode) {
   const auto type_idx = static_cast<std::size_t>(pkt.type);
-  // Administrative link state: a down link loses the crossing outright,
-  // in either direction.
-  const LinkId link = tree_.parent(to) == from ? to : from;
-  if (!link_up_[static_cast<std::size_t>(link)]) {
-    ++cur_stats().dropped[type_idx];
-    record_drop(cur_sim(), pkt, from, to);
-    return true;
-  }
-  if (drop_fn_ && drop_fn_(pkt, from, to)) {
-    ++cur_stats().dropped[type_idx];
-    record_drop(cur_sim(), pkt, from, to);
-    return true;
-  }
-  return false;
-}
-
-void Network::send_hop(NodeId from, NodeId to, const PacketRef& pkt,
-                       Mode mode) {
-  const auto type_idx = static_cast<std::size_t>(pkt->type);
   CrossingStats& stats = cur_stats();
   switch (mode) {
     case Mode::kMulticast: ++stats.multicast[type_idx]; break;
     case Mode::kUnicast: ++stats.unicast[type_idx]; break;
     case Mode::kSubcast: ++stats.subcast[type_idx]; break;
   }
-  stats.wire_bytes[type_idx] += pkt->encoded_size();
-  if (crossing_lost(*pkt, from, to)) return;
-  sim::SimTime arrival = transmit(from, to, pkt->size_bytes);
-  if (perturb_fn_) {
-    const Perturbation p = perturb_fn_(*pkt, from, to);
-    CESRM_CHECK(p.extra_delay >= sim::SimTime::zero());
-    arrival += p.extra_delay;
-    if (p.duplicate) {
-      ++stats.duplicated[type_idx];
-      const sim::SimTime dup_arrival = transmit(from, to, pkt->size_bytes);
-      sim_.schedule_at(dup_arrival, [this, from, to, pkt, mode] {
-        arrive(to, from, pkt, mode);
-      });
+  stats.wire_bytes[type_idx] += pkt.encoded_size();
+  // Administrative link state: a down link loses the crossing outright,
+  // in either direction.
+  const LinkId link = tree_.parent(to) == from ? to : from;
+  if (!link_up_[static_cast<std::size_t>(link)] ||
+      (drop_fn_ && drop_fn_(pkt, from, to))) {
+    ++stats.dropped[type_idx];
+    record_drop(cur_sim(), pkt, from, to);
+    return false;
+  }
+  return true;
+}
+
+// One event per (forwarding node, arrival instant). Hops that one loop
+// schedules back to back for one instant get adjacent sequence numbers, so
+// no other event can fire between them; running them from one event in
+// target order is therefore exact, and anything their handlers schedule
+// sorts after them either way. A hop joins the pending group only while
+// that adjacency holds: same arrival, nothing scheduled since the group
+// opened (only a duplicate can be, and it flushes first), and room in the
+// mask. Sharded runs keep one event per hop: a shared event would carry
+// targets owned by other shards, and event counts would depend on the
+// layout.
+void Network::fan_out(NodeId from, std::span<const NodeId> targets,
+                      NodeId came_from, const PacketRef& pkt, Mode mode) {
+  const NodeId* first = nullptr;  // the pending group: bit i is first[i]
+  std::uint64_t mask = 0;
+  sim::SimTime at;
+  const auto flush = [&] {
+    if (mask != 0) schedule_fan_out(at, from, first, mask, pkt, mode);
+    mask = 0;
+  };
+  for (const NodeId& to : targets) {
+    if (to == came_from || !cross(*pkt, from, to, mode)) continue;
+    sim::SimTime arrival = transmit(from, to, pkt->size_bytes);
+    if (perturb_fn_) {
+      const Perturbation p = perturb_fn_(*pkt, from, to);
+      CESRM_CHECK(p.extra_delay >= sim::SimTime::zero());
+      arrival += p.extra_delay;
+      if (p.duplicate) {
+        // The copy is scheduled before its hop, alone.
+        ++cur_stats().duplicated[static_cast<std::size_t>(pkt->type)];
+        const sim::SimTime dup_arrival = transmit(from, to, pkt->size_bytes);
+        flush();
+        schedule_fan_out(dup_arrival, from, &to, 1, pkt, mode);
+      }
+    }
+    if (mask != 0 && arrival == at && engine_ == nullptr && &to - first < 64) {
+      mask |= std::uint64_t{1} << (&to - first);
+    } else {
+      flush();
+      first = &to;
+      mask = 1;
+      at = arrival;
     }
   }
-  if (engine_) {
-    engine_->schedule_from(from, to, arrival, [this, from, to, pkt, mode] {
-      arrive(to, from, pkt, mode);
-    });
-  } else {
-    sim_.schedule_at(arrival, [this, from, to, pkt, mode] {
-      arrive(to, from, pkt, mode);
-    });
-  }
+  flush();
+}
+
+void Network::schedule_fan_out(sim::SimTime at, NodeId from,
+                               const NodeId* targets, std::uint64_t mask,
+                               const PacketRef& pkt, Mode mode) {
+  FanOut event{this, targets, mask, pkt, from, mode};
+  if (engine_)  // sharded events carry one hop, to targets[0]
+    engine_->schedule_from(from, *targets, at, std::move(event));
+  else
+    sim_.schedule_at(at, std::move(event));
+}
+
+void Network::FanOut::operator()() const {
+  for (std::uint64_t m = mask; m != 0; m &= m - 1)
+    net->arrive(targets[std::countr_zero(m)], from, pkt, mode);
 }
 
 void Network::arrive(NodeId at, NodeId came_from, const PacketRef& pkt,
@@ -180,8 +212,7 @@ void Network::arrive(NodeId at, NodeId came_from, const PacketRef& pkt,
           agent->on_packet(*pkt);
         }
       }
-      for (NodeId next : tree_.neighbors(at))
-        if (next != came_from) send_hop(at, next, pkt, Mode::kMulticast);
+      fan_out(at, tree_.neighbors(at), came_from, pkt, Mode::kMulticast);
       break;
     }
     case Mode::kUnicast: {
@@ -190,27 +221,34 @@ void Network::arrive(NodeId at, NodeId came_from, const PacketRef& pkt,
           agent->on_packet(*pkt);
         return;
       }
-      const NodeId next = tree_.next_hop_toward(at, pkt->dest);
-      CESRM_CHECK_MSG(next != kInvalidNode, "no route from " << at << " to "
-                                                             << pkt->dest);
-      send_hop(at, next, pkt, Mode::kUnicast);
+      forward_unicast(at, pkt);
       break;
     }
     case Mode::kSubcast: {
       if (Agent* agent = agents_[static_cast<std::size_t>(at)])
         agent->on_packet(*pkt);
-      for (NodeId c : tree_.children(at)) send_hop(at, c, pkt, Mode::kSubcast);
+      fan_out(at, tree_.children(at), kInvalidNode, pkt, Mode::kSubcast);
       break;
     }
   }
 }
 
+void Network::forward_unicast(NodeId at, const PacketRef& pkt) {
+  const NodeId next = tree_.next_hop_toward(at, pkt->dest);
+  CESRM_CHECK_MSG(next != kInvalidNode, "no route from " << at << " to "
+                                                         << pkt->dest);
+  // The next hop is one of `at`'s neighbours; naming it by its place in
+  // that list keeps the target alive as long as the tree.
+  const std::vector<NodeId>& hops = tree_.neighbors(at);
+  const auto hop = std::find(hops.begin(), hops.end(), next);
+  fan_out(at, std::span(hop, 1), kInvalidNode, pkt, Mode::kUnicast);
+}
+
 void Network::multicast(NodeId from, const Packet& pkt) {
   CESRM_CHECK(from >= 0 && static_cast<std::size_t>(from) < agents_.size());
-  // One materialization; every hop closure shares the handle.
-  const auto ref = std::make_shared<const Packet>(pkt);
-  for (NodeId next : tree_.neighbors(from))
-    send_hop(from, next, ref, Mode::kMulticast);
+  // One materialization; every fan-out event shares the handle.
+  fan_out(from, tree_.neighbors(from), kInvalidNode,
+          std::make_shared<const Packet>(pkt), Mode::kMulticast);
 }
 
 void Network::unicast(NodeId from, const Packet& pkt) {
@@ -229,25 +267,20 @@ void Network::unicast(NodeId from, const Packet& pkt) {
       sim_.schedule_in(sim::SimTime::zero(), std::move(deliver));
     return;
   }
-  send_hop(from, tree_.next_hop_toward(from, pkt.dest), ref, Mode::kUnicast);
+  forward_unicast(from, ref);
 }
 
 void Network::leg_hop(NodeId cur, NodeId router, const PacketRef& pkt) {
   const NodeId next = tree_.next_hop_toward(cur, router);
   CESRM_CHECK(next != kInvalidNode);
-  const auto type_idx = static_cast<std::size_t>(pkt->type);
-  CrossingStats& stats = cur_stats();
-  ++stats.unicast[type_idx];
-  stats.wire_bytes[type_idx] += pkt->encoded_size();
-  if (crossing_lost(*pkt, cur, next)) return;  // leg lost: no subcast
+  if (!cross(*pkt, cur, next, Mode::kUnicast)) return;  // no subcast
   const sim::SimTime arrival = transmit(cur, next, pkt->size_bytes);
   engine_->schedule_from(cur, next, arrival, [this, next, router, pkt] {
-    if (next == router) {
-      for (NodeId c : tree_.children(router))
-        send_hop(router, c, pkt, Mode::kSubcast);
-    } else {
+    if (next == router)
+      fan_out(router, tree_.children(router), kInvalidNode, pkt,
+              Mode::kSubcast);
+    else
       leg_hop(next, router, pkt);
-    }
   });
 }
 
@@ -255,16 +288,16 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
   CESRM_CHECK(router >= 0 &&
               static_cast<std::size_t>(router) < agents_.size());
   const auto ref = std::make_shared<const Packet>(pkt);
+  auto subcast = [this, router, ref] {
+    fan_out(router, tree_.children(router), kInvalidNode, ref,
+            Mode::kSubcast);
+  };
   if (from == router) {
     // Already at the turning point: subcast immediately.
-    auto fanout = [this, router, ref] {
-      for (NodeId c : tree_.children(router))
-        send_hop(router, c, ref, Mode::kSubcast);
-    };
     if (engine_)
-      engine_->schedule_from(from, from, cur_sim().now(), std::move(fanout));
+      engine_->schedule_from(from, from, cur_sim().now(), std::move(subcast));
     else
-      sim_.schedule_in(sim::SimTime::zero(), std::move(fanout));
+      sim_.schedule_in(sim::SimTime::zero(), std::move(subcast));
     return;
   }
   if (engine_) {
@@ -278,9 +311,8 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
   // Unicast leg to the router, then fan out downstream. When the leg
   // reaches `router`, arrive() would try to deliver to an agent (routers
   // have none) and stop — so instead we simulate the leg hop-by-hop here,
-  // with the same per-hop accounting (stats, link state, loss decision,
-  // queueing) as send_hop, and schedule the subcast at the leg's modelled
-  // arrival time.
+  // with the same per-crossing accounting as fan_out, and schedule the
+  // subcast at the leg's modelled arrival time.
   Packet leg = pkt;
   leg.dest = router;
   NodeId cur = from;
@@ -288,10 +320,7 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
   while (cur != router) {
     const NodeId next = tree_.next_hop_toward(cur, router);
     CESRM_CHECK(next != kInvalidNode);
-    ++stats_.unicast[static_cast<std::size_t>(leg.type)];
-    stats_.wire_bytes[static_cast<std::size_t>(leg.type)] +=
-        leg.encoded_size();
-    if (crossing_lost(leg, cur, next)) return;  // leg lost: no subcast
+    if (!cross(leg, cur, next, Mode::kUnicast)) return;  // no subcast
     // Approximate queueing on the leg by advancing the busy horizon as of
     // `when` (the hop's local send time).
     sim::SimTime& busy = busy_until(cur, next);
@@ -301,10 +330,7 @@ void Network::unicast_subcast(NodeId from, NodeId router, const Packet& pkt) {
     when = start + tx + config_.link_delay;
     cur = next;
   }
-  sim_.schedule_at(when, [this, router, ref] {
-    for (NodeId c : tree_.children(router))
-      send_hop(router, c, ref, Mode::kSubcast);
-  });
+  sim_.schedule_at(when, std::move(subcast));
 }
 
 sim::SimTime Network::path_delay(NodeId a, NodeId b) const {

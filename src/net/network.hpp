@@ -22,12 +22,14 @@
 // that duplicates packets or adds delay jitter per crossing. All link
 // crossings are tallied per packet type and per delivery primitive — the
 // Figure-5 "1 unit per link crossing" transmission-overhead metric falls
-// directly out of these counters.
+// directly out of these counters. Each crossing is accounted on its own,
+// but a node's hops that arrive at one instant share one queue event.
 #pragma once
 
 #include <array>
 #include <cstdint>
 #include <functional>
+#include <span>
 #include <vector>
 
 #include "net/packet.hpp"
@@ -39,13 +41,15 @@
 namespace cesrm::net {
 
 /// Per-direction link crossing decision: return true to drop the packet on
-/// the edge `from` → `to` (always a tree edge).
+/// the edge `from` → `to` (always a tree edge). Must not schedule events:
+/// it runs between hops that may share one fan-out event.
 using DropFn = std::function<bool(const Packet& pkt, NodeId from, NodeId to)>;
 
 /// Per-crossing perturbation decision (fault injection): the packet's
 /// arrival is delayed by `extra_delay` and, when `duplicate` is set, a
 /// second copy of the crossing is transmitted (consuming link bandwidth
-/// like any other packet, so duplicates also queue).
+/// like any other packet, so duplicates also queue). Like DropFn, it must
+/// not schedule events.
 struct Perturbation {
   sim::SimTime extra_delay = sim::SimTime::zero();
   bool duplicate = false;
@@ -162,24 +166,52 @@ class Network : public Transport {
   enum class Mode { kMulticast, kUnicast, kSubcast };
 
   /// Internal ref-counted packet handle: an N-node flood materializes the
-  /// Packet once and every hop closure shares it, instead of copying the
-  /// packet into a fresh closure per tree edge.
+  /// Packet once and every fan-out event shares it, instead of copying the
+  /// packet per tree edge. Atomic counts, because sharded runs hand
+  /// packets across shard threads.
   using PacketRef = std::shared_ptr<const Packet>;
 
-  /// Schedules the hop `from` → `to`; on arrival delivers to the agent at
-  /// `to` (if any) and, in flood/subcast modes, keeps forwarding.
-  void send_hop(NodeId from, NodeId to, const PacketRef& pkt, Mode mode);
+  /// One fan-out event: the hops `from` → targets[i] for every set bit i
+  /// of `mask`, all arriving at one instant. `targets` points into the
+  /// tree's neighbour or children list, which outlives every event.
+  /// Running it calls arrive() for each hop in target order, the order in
+  /// which one event per hop would have fired.
+  struct FanOut {
+    Network* net;
+    const NodeId* targets;
+    std::uint64_t mask;
+    PacketRef pkt;
+    NodeId from;
+    Mode mode;
+    void operator()() const;
+  };
+  static_assert(sim::InlineFunction::fits_inline<FanOut>(),
+                "a fan-out event must not fall back to the heap");
+
+  /// Sends `pkt` from `from` to each of `targets` except `came_from`. Every
+  /// crossing is counted, loss-checked, queued and perturbed in target
+  /// order; surviving hops that arrive at one instant share one FanOut
+  /// event (sharded: one event per hop). Unicast is a one-target fan-out.
+  void fan_out(NodeId from, std::span<const NodeId> targets,
+               NodeId came_from, const PacketRef& pkt, Mode mode);
+  void schedule_fan_out(sim::SimTime at, NodeId from, const NodeId* targets,
+                        std::uint64_t mask, const PacketRef& pkt, Mode mode);
+  /// Delivers to the agent at `at` (if any) and, in flood/subcast modes or
+  /// short of a unicast's destination, keeps forwarding.
   void arrive(NodeId at, NodeId came_from, const PacketRef& pkt, Mode mode);
+  /// The unicast hop from `at` toward pkt->dest.
+  void forward_unicast(NodeId at, const PacketRef& pkt);
 
   /// Sharded-mode subcast leg: one event-chained unicast-accounted hop of
   /// `pkt` from `cur` toward `router`; on reaching the router, fans out
   /// downstream as a subcast.
   void leg_hop(NodeId cur, NodeId router, const PacketRef& pkt);
 
-  /// Shared per-crossing loss accounting (link state + DropFn): returns
-  /// true (and tallies the drop) when the crossing `from` → `to` loses the
-  /// packet. Used by send_hop and the unicast_subcast leg walk.
-  bool crossing_lost(const Packet& pkt, NodeId from, NodeId to);
+  /// The per-crossing accounting every delivery path shares: tallies the
+  /// crossing `from` → `to` under `mode` with its wire bytes, then applies
+  /// link state and the DropFn. Returns false (tallying the drop) when the
+  /// crossing loses the packet.
+  bool cross(const Packet& pkt, NodeId from, NodeId to, Mode mode);
 
   /// Queueing link model: returns the arrival time of a packet handed to
   /// the edge `from`→`to` now, advancing the edge's busy horizon.

@@ -137,16 +137,6 @@ void MulticastTree::validate() const {
   }
 }
 
-NodeId MulticastTree::parent(NodeId v) const {
-  CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < parent_.size());
-  return parent_[static_cast<std::size_t>(v)];
-}
-
-const std::vector<NodeId>& MulticastTree::children(NodeId v) const {
-  CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < children_.size());
-  return children_[static_cast<std::size_t>(v)];
-}
-
 int MulticastTree::depth(NodeId v) const {
   CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < depth_.size());
   return depth_[static_cast<std::size_t>(v)];
@@ -200,11 +190,6 @@ std::vector<NodeId> MulticastTree::path(NodeId a, NodeId b) const {
 int MulticastTree::hop_distance(NodeId a, NodeId b) const {
   const NodeId meet = lca(a, b);
   return depth(a) + depth(b) - 2 * depth(meet);
-}
-
-const std::vector<NodeId>& MulticastTree::neighbors(NodeId v) const {
-  CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < neighbors_.size());
-  return neighbors_[static_cast<std::size_t>(v)];
 }
 
 std::string MulticastTree::to_string() const {

@@ -27,8 +27,14 @@ class MulticastTree {
   /// Number of links (= size() - 1).
   std::size_t link_count() const { return size() - 1; }
 
-  NodeId parent(NodeId v) const;
-  const std::vector<NodeId>& children(NodeId v) const;
+  NodeId parent(NodeId v) const {
+    CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < parent_.size());
+    return parent_[static_cast<std::size_t>(v)];
+  }
+  const std::vector<NodeId>& children(NodeId v) const {
+    CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < children_.size());
+    return children_[static_cast<std::size_t>(v)];
+  }
   bool is_leaf(NodeId v) const { return children(v).empty(); }
   bool is_root(NodeId v) const { return v == root_; }
 
@@ -74,8 +80,12 @@ class MulticastTree {
   /// Number of edges on the path a → b — O(log N).
   int hop_distance(NodeId a, NodeId b) const;
 
-  /// Tree neighbours (parent + children) of v.
-  const std::vector<NodeId>& neighbors(NodeId v) const;
+  /// Tree neighbours of v: its parent first (none at the root), then its
+  /// children in children() order.
+  const std::vector<NodeId>& neighbors(NodeId v) const {
+    CESRM_DCHECK(v >= 0 && static_cast<std::size_t>(v) < neighbors_.size());
+    return neighbors_[static_cast<std::size_t>(v)];
+  }
 
   /// Human-readable single-line rendering, e.g. "0(1(3 4) 2(5))".
   std::string to_string() const;

@@ -17,7 +17,9 @@
 // at pop time when its generation tag no longer matches the slot. This
 // keeps cancel() O(1), which matters because SRM suppression cancels a
 // large fraction of all scheduled timers, and frees the cancelled
-// callback's captures immediately.
+// callback's captures immediately. The simulator runs each popped
+// callback where it sits in its slot (run_next): the id is retired first,
+// and the slot returns to the free list only once the callback is done.
 #pragma once
 
 #include <cstdint>
@@ -81,6 +83,16 @@ class EventQueue {
   /// when the queue is empty.
   bool pop(SimTime& when, Callback& cb, EventId& id);
 
+  /// Pops the earliest live event and runs its callback in its slot,
+  /// without moving it out: calls `on_pop(when)` first (the simulator
+  /// advances its clock there), then the callback. The event's id is
+  /// retired before either runs, so the event is not pending inside its
+  /// own callback and cancelling it is a no-op. The slot and the
+  /// callback's captures are released when the callback returns or
+  /// throws. Returns false when the queue is empty.
+  template <typename OnPop>
+  bool run_next(OnPop&& on_pop);
+
   /// Total events ever scheduled (diagnostics / micro-benchmarks).
   std::uint64_t scheduled_total() const { return scheduled_; }
   /// Total events cancelled before firing.
@@ -141,6 +153,13 @@ class EventQueue {
   void sift_up(std::size_t i);
   void sift_down(std::size_t i);
   void drop_stale_top();
+  /// Removes the earliest live entry from the heap into `e` and counts it
+  /// out of the live set; its slot is untouched. False when empty.
+  bool pop_entry(HeapEntry& e);
+  /// Invalidates the slot's id: not live, generation bumped.
+  static void retire(Slot& s);
+  /// Destroys the slot's callback and returns the slot to the free list.
+  void release(std::uint32_t slot);
   void free_slot(std::uint32_t slot);
 
   std::vector<HeapEntry> heap_;  ///< 4-ary implicit heap
@@ -193,13 +212,21 @@ inline bool EventQueue::cancel(EventId id) {
   return true;
 }
 
-inline void EventQueue::free_slot(std::uint32_t slot) {
-  Slot& s = slot_at(slot);
-  s.cb.reset();  // release captures eagerly, not at heap-drain time
+inline void EventQueue::retire(Slot& s) {
   s.live = false;
   if (++s.gen == 0) s.gen = 1;  // 0 must never appear in a valid id
+}
+
+inline void EventQueue::release(std::uint32_t slot) {
+  Slot& s = slot_at(slot);
+  s.cb.reset();
   s.next_free = free_head_;
   free_head_ = slot;
+}
+
+inline void EventQueue::free_slot(std::uint32_t slot) {
+  retire(slot_at(slot));
+  release(slot);  // frees captures eagerly, not at heap-drain time
 }
 
 inline void EventQueue::sift_up(std::size_t i) {
@@ -238,19 +265,42 @@ inline void EventQueue::drop_stale_top() {
   }
 }
 
-inline bool EventQueue::pop(SimTime& when, Callback& cb, EventId& id) {
+inline bool EventQueue::pop_entry(HeapEntry& e) {
   drop_stale_top();
   if (heap_.empty()) return false;
-  const HeapEntry e = heap_.front();
+  e = heap_.front();
   heap_.front() = heap_.back();
   heap_.pop_back();
   if (!heap_.empty()) sift_down(0);
+  --live_;
+  return true;
+}
 
+inline bool EventQueue::pop(SimTime& when, Callback& cb, EventId& id) {
+  HeapEntry e;
+  if (!pop_entry(e)) return false;
   when = e.when;
   id = (static_cast<EventId>(e.gen) << 32) | e.slot;
   cb = std::move(slot_at(e.slot).cb);
   free_slot(e.slot);
-  --live_;
+  return true;
+}
+
+template <typename OnPop>
+inline bool EventQueue::run_next(OnPop&& on_pop) {
+  HeapEntry e;
+  if (!pop_entry(e)) return false;
+  // Chunks never move, so the slot stays put while the callback schedules
+  // more events; it joins the free list only when the guard releases it.
+  Slot& s = slot_at(e.slot);
+  retire(s);
+  struct Release {
+    EventQueue* queue;
+    std::uint32_t slot;
+    ~Release() { queue->release(slot); }
+  } guard{this, e.slot};
+  on_pop(e.when);
+  s.cb();
   return true;
 }
 

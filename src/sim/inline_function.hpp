@@ -4,7 +4,7 @@
 // sweep; with std::function each schedule() pays a heap allocation for
 // any capture larger than the libstdc++ SBO (two pointers). InlineFunction
 // stores captures up to kInlineCapacity bytes directly inside the object
-// — sized so every simulator hop closure (this + endpoints + a
+// — sized so every simulator fan-out event (this + targets + a
 // ref-counted packet handle + mode) fits — and falls back to the heap
 // only for oversized or throwing-move callables. Dispatch is a single
 // static ops-table pointer instead of std::function's vtable machinery.
@@ -23,11 +23,20 @@ namespace cesrm::sim {
 
 class InlineFunction {
  public:
-  /// Inline capture budget. The largest hot-path closure is Network's hop
-  /// continuation: {Network*, two NodeIds, a shared_ptr<const Packet>,
-  /// Mode} ≈ 40 bytes; 64 leaves headroom for fault-injection closures
-  /// without bloating the event-queue slot pool.
+  /// Inline capture budget. The largest hot-path closure is Network's
+  /// fan-out event: {Network*, target pointer, 64-bit target mask,
+  /// shared_ptr<const Packet>, NodeId, Mode} = 48 bytes; 64 leaves headroom
+  /// for fault-injection closures without bloating the event-queue slot
+  /// pool.
   static constexpr std::size_t kInlineCapacity = 64;
+
+  /// True when a callable of type D is stored inline, never on the heap.
+  template <typename D>
+  static constexpr bool fits_inline() {
+    return sizeof(D) <= kInlineCapacity &&
+           alignof(D) <= alignof(std::max_align_t) &&
+           std::is_nothrow_move_constructible_v<D>;
+  }
 
   InlineFunction() = default;
   InlineFunction(std::nullptr_t) {}  // NOLINT(google-explicit-constructor)
@@ -94,13 +103,6 @@ class InlineFunction {
     void (*relocate)(void* dst, void* src);
     void (*destroy)(void* p);
   };
-
-  template <typename D>
-  static constexpr bool fits_inline() {
-    return sizeof(D) <= kInlineCapacity &&
-           alignof(D) <= alignof(std::max_align_t) &&
-           std::is_nothrow_move_constructible_v<D>;
-  }
 
   template <typename D>
   static constexpr Ops kInlineOps = {

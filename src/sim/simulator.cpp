@@ -33,16 +33,12 @@ EventId Simulator::schedule_at_tagged(SimTime when, std::uint64_t tag,
 }
 
 bool Simulator::step() {
-  SimTime when;
-  EventQueue::Callback cb;
-  EventId id;
-  if (!queue_.pop(when, cb, id)) return false;
-  CESRM_CHECK(when >= now_);
-  now_ = when;
-  ++executed_;
-  if (profile_) profile_tick();
-  cb();
-  return true;
+  return queue_.run_next([this](SimTime when) {
+    CESRM_CHECK(when >= now_);
+    now_ = when;
+    ++executed_;
+    if (profile_) profile_tick();
+  });
 }
 
 void Simulator::enable_profiling(bool on) {
@@ -93,7 +89,9 @@ void Simulator::run_until(SimTime until) {
     if (next > until) break;
     step();
   }
-  if (now_ < until) now_ = until;
+  // After stop() events at or before `until` may still be pending; the
+  // clock must not pass them.
+  if (!stopped_ && now_ < until) now_ = until;
 }
 
 }  // namespace cesrm::sim

@@ -46,7 +46,8 @@ class Simulator {
   bool cancel(EventId id) { return queue_.cancel(id); }
   bool is_pending(EventId id) const { return queue_.is_pending(id); }
 
-  /// Runs a single event. Returns false when the queue is empty.
+  /// Runs a single event, in place in its queue slot. Returns false when
+  /// the queue is empty.
   bool step();
 
   /// Runs until the queue empties (or stop() is called).
@@ -54,7 +55,8 @@ class Simulator {
 
   /// Runs events with time <= `until`, then sets the clock to `until`
   /// (if the simulation did not already pass it). Pending later events stay
-  /// queued.
+  /// queued. After stop() the clock stays at the last executed event, so
+  /// the events still pending remain runnable.
   void run_until(SimTime until);
 
   /// Runs events with time strictly < `end`, leaving the clock at the last

@@ -204,13 +204,13 @@ TEST(Experiment, LossyRecoveryStillRecoversEverything) {
 
 // ---------------------------------------------------------- golden runs ----
 
-/// Deep fingerprint of everything an experiment exports. Two runs with
-/// equal fingerprints are indistinguishable to every report, bench
-/// artifact, and figure in the repo.
+/// Deep fingerprint of everything an experiment exports except the event
+/// core's queue counters (see event_core). Two runs with equal
+/// fingerprints are indistinguishable to every report, bench artifact,
+/// and figure in the repo that does not count queue entries.
 std::string fingerprint(const ExperimentResult& r) {
   std::ostringstream os;
-  os << "exec=" << r.events_executed << " end=" << r.sim_end.ns()
-     << " sent=" << r.packets_sent << "\n";
+  os << "end=" << r.sim_end.ns() << " sent=" << r.packets_sent << "\n";
   for (const auto& m : r.members) {
     os << "m " << m.node << (m.is_source ? " src" : "")
        << (m.failed ? " failed" : "") << " rtt=" << m.rtt_to_source << " "
@@ -242,10 +242,32 @@ std::string fingerprint(const ExperimentResult& r) {
   dump("dropped", r.crossings.dropped);
   dump("duplicated", r.crossings.duplicated);
   dump("wire_bytes", r.crossings.wire_bytes);
-  r.metrics.to_json(os);
+  obs::MetricsSnapshot metrics = r.metrics;
+  metrics.counters.erase("sim.events_executed");
+  metrics.counters.erase("sim.events_scheduled");
+  metrics.gauges.erase("sim.queue_high_water");
+  metrics.to_json(os);
   os << "\n";
   if (r.events) obs::write_events_jsonl(os, *r.events);
   if (r.sketch) r.sketch->to_json(os);
+  return os.str();
+}
+
+/// The values fingerprint() leaves out: how many queue entries the run
+/// executed and scheduled, and the queue's high-water mark (the last two
+/// only when the run records metrics). They depend on how many hops share
+/// one event, not on what the protocol did. Timer cancellations are
+/// protocol behaviour and stay in the fingerprint.
+std::string event_core(const ExperimentResult& r) {
+  std::ostringstream os;
+  os << "exec=" << r.events_executed;
+  for (const char* name : {"sim.events_executed", "sim.events_scheduled"})
+    if (const auto it = r.metrics.counters.find(name);
+        it != r.metrics.counters.end())
+      os << " " << name << "=" << it->second;
+  if (const auto it = r.metrics.gauges.find("sim.queue_high_water");
+      it != r.metrics.gauges.end())
+    os << " sim.queue_high_water=" << it->second;
   return os.str();
 }
 
@@ -270,15 +292,19 @@ ExperimentConfig golden_config(Protocol protocol) {
   return cfg;
 }
 
-// These digests pin run_experiment's exact output — RNG draw order, event
-// ordering, every counter and artifact. A change that moves one on purpose
-// must say why; a refactor must leave all three untouched.
+// Each test pins run_experiment's exact output twice. The protocol digest
+// covers RNG draw order, event ordering, every protocol counter and
+// artifact: a refactor or a performance change never moves it, and a
+// change that does must say why. The event-core line moves only when event
+// granularity changes on purpose (the earlier values sit beside it).
 TEST(ExperimentGolden, SrmFaultFree) {
   const auto& w = workload();
   const auto r = run_experiment(*w.gen.loss, *w.links,
                                 golden_config(Protocol::kSrm));
   EXPECT_EQ(r.packets_sent, 1500);
-  EXPECT_EQ(digest(fingerprint(r)), "3fcec757d136a9a6");
+  EXPECT_EQ(digest(fingerprint(r)), "8461065e0c45c46b");
+  // One event per hop: exec=48247.
+  EXPECT_EQ(event_core(r), "exec=29567");
 }
 
 TEST(ExperimentGolden, CesrmFaultFree) {
@@ -286,7 +312,9 @@ TEST(ExperimentGolden, CesrmFaultFree) {
   const auto r = run_experiment(*w.gen.loss, *w.links,
                                 golden_config(Protocol::kCesrm));
   EXPECT_EQ(r.packets_sent, 1500);
-  EXPECT_EQ(digest(fingerprint(r)), "0205d9045239cdc3");
+  EXPECT_EQ(digest(fingerprint(r)), "53f75e4d02c5b9c5");
+  // One event per hop: exec=39808.
+  EXPECT_EQ(event_core(r), "exec=24118");
 }
 
 TEST(ExperimentGolden, CesrmFaultedDurableLossyObserved) {
@@ -309,7 +337,12 @@ TEST(ExperimentGolden, CesrmFaultedDurableLossyObserved) {
   EXPECT_EQ(r.packets_sent, 1500);
   EXPECT_TRUE(r.members[6].failed);  // receiver rank 5 crash-stopped
   EXPECT_NE(fingerprint(r).find("fault_applied"), std::string::npos);
-  EXPECT_EQ(digest(fingerprint(r)), "1df91a41a0103ed0");
+  EXPECT_EQ(digest(fingerprint(r)), "b680d5547cb79135");
+  // One event per hop: exec=123339 sim.events_executed=123339
+  // sim.events_scheduled=126466 sim.queue_high_water=9633.
+  EXPECT_EQ(event_core(r),
+            "exec=110186 sim.events_executed=110186 "
+            "sim.events_scheduled=113313 sim.queue_high_water=9630");
 }
 
 // --------------------------------------------------------------- reports ----

@@ -645,5 +645,167 @@ TEST(Network, PerturbNeverAppliesToDroppedPackets) {
   EXPECT_EQ(perturb_calls, 0u);
 }
 
+// ---------------------------------------------------- fan-out events ----
+//
+// A node's hops that arrive at one instant share one event; every crossing
+// is still counted, loss-checked and queued on its own, in neighbour order.
+
+/// Appends (node, arrival time) to one log shared by every member, so the
+/// tests see the global delivery order.
+struct Arrival {
+  NodeId node;
+  sim::SimTime at;
+  bool operator==(const Arrival&) const = default;
+};
+
+class LoggingAgent : public Agent {
+ public:
+  LoggingAgent(sim::Simulator& sim, NodeId node, std::vector<Arrival>& log)
+      : sim_(sim), node_(node), log_(log) {}
+  void on_packet(const Packet&) override {
+    log_.push_back({node_, sim_.now()});
+  }
+
+ private:
+  sim::Simulator& sim_;
+  NodeId node_;
+  std::vector<Arrival>& log_;
+};
+
+/// A network over `tree` with a logging agent at the root and every leaf.
+struct LoggedNet {
+  explicit LoggedNet(MulticastTree t, NetworkConfig cfg = {})
+      : tree(std::move(t)), network(sim, tree, cfg) {
+    agents.push_back(std::make_unique<LoggingAgent>(sim, tree.root(), log));
+    network.attach(tree.root(), agents.back().get());
+    for (NodeId leaf : tree.receivers()) {
+      agents.push_back(std::make_unique<LoggingAgent>(sim, leaf, log));
+      network.attach(leaf, agents.back().get());
+    }
+  }
+  sim::Simulator sim;
+  MulticastTree tree;
+  Network network;
+  std::vector<Arrival> log;
+  std::vector<std::unique_ptr<LoggingAgent>> agents;
+};
+
+/// The tree of Table-1 trace 1 (RFV960419): 27 nodes, 15 of them routers
+/// or the source, 12 receivers at depths 2 to 6.
+MulticastTree trace1_tree() {
+  return parse_tree(
+      "0(1(2(3(4(5(15 25 26) 9(18)) 7(12(21)) 10(19) 14(23 24)) 13(22))) "
+      "6(16) 8(17) 11(20))");
+}
+
+/// One idle 1.5 Mb/s, 20 ms hop of a 1024-byte DATA packet:
+/// 1024 * 8 / 1.5e6 s = 5 461 333 ns of serialization, then propagation.
+constexpr sim::SimTime kDataHop =
+    sim::SimTime::nanos(5'461'333) + sim::SimTime::millis(20);
+
+MulticastTree star_tree(int leaves) {
+  std::vector<NodeId> parents(static_cast<std::size_t>(leaves) + 1, 0);
+  parents[0] = kInvalidNode;
+  return MulticastTree(std::move(parents));
+}
+
+TEST(NetworkFanOut, RootDataFloodTakesOneEventPerForwardingNode) {
+  LoggedNet f(trace1_tree());
+  f.network.multicast(0, make_data_packet(0, 1));
+  f.sim.run();
+  // Idle links: every child of a node hears it at one instant, so the 15
+  // non-leaf nodes forward with one event each (one per crossing: 26).
+  EXPECT_EQ(f.sim.events_executed(), 15u);
+  EXPECT_EQ(f.network.crossings().multicast_of(PacketType::kData), 26u);
+  // Store and forward: a receiver at depth d hears it after d idle hops.
+  std::map<NodeId, sim::SimTime> want;
+  for (auto [leaf, depth] : std::vector<std::pair<NodeId, std::int64_t>>{
+           {15, 6}, {16, 2}, {17, 2}, {18, 6}, {19, 5}, {20, 2},
+           {21, 6}, {22, 4}, {23, 5}, {24, 5}, {25, 6}, {26, 6}})
+    want[leaf] = kDataHop * depth;
+  std::map<NodeId, sim::SimTime> got;
+  for (const Arrival& a : f.log) got[a.node] = a.at;
+  EXPECT_EQ(f.log.size(), 12u);
+  EXPECT_EQ(got, want);
+}
+
+TEST(NetworkFanOut, LeafRequestFloodTakesOneEventPerForwardingNode) {
+  LoggedNet f(trace1_tree());
+  f.network.multicast(15, make_request_packet(15, 0, 1, 0.0));
+  f.sim.run();
+  // Leaf 15's own hop, then every non-leaf node forwards once.
+  EXPECT_EQ(f.sim.events_executed(), 16u);
+  EXPECT_EQ(f.network.crossings().multicast_of(PacketType::kRequest), 26u);
+  EXPECT_EQ(f.log.size(), 12u);  // the source and 11 other receivers
+}
+
+TEST(NetworkFanOut, BusySiblingLinkSplitsTheFanOut) {
+  // Star 0(1 2 3). A payload packet unicast to 2 holds link 0→2 for one
+  // serialization time; a flood handed over at the same instant queues
+  // behind it there and nowhere else.
+  LoggedNet f(star_tree(3));
+  const sim::SimTime tx = sim::SimTime::nanos(5'461'333);
+  Packet first = make_data_packet(0, 1);
+  first.dest = 2;
+  f.network.unicast(0, first);
+  f.network.multicast(0, make_data_packet(0, 2));
+  f.sim.run();
+  // Unicast, then the flood as {1}, {2} (queued), {3}: 3 cannot join 1's
+  // event, because 2's event was scheduled between them.
+  EXPECT_EQ(f.sim.events_executed(), 4u);
+  EXPECT_EQ(f.log, (std::vector<Arrival>{{2, kDataHop},
+                                         {1, kDataHop},
+                                         {3, kDataHop},
+                                         {2, kDataHop + tx}}));
+}
+
+TEST(NetworkFanOut, WideStarDeliversInNeighbourOrderAtOneInstant) {
+  LoggedNet f(star_tree(100));
+  f.network.multicast(0, make_request_packet(0, 0, 1, 0.0));
+  f.sim.run();
+  std::vector<Arrival> want;
+  for (NodeId leaf = 1; leaf <= 100; ++leaf)
+    want.push_back({leaf, sim::SimTime::millis(20)});
+  EXPECT_EQ(f.log, want);
+  // A fan-out event names at most 64 targets: 64 + 36.
+  EXPECT_EQ(f.sim.events_executed(), 2u);
+}
+
+TEST(NetworkFanOut, DuplicateKeepsItsPlaceBeforeItsHop) {
+  // A 0-byte control packet from the root of 0(1 2 3), duplicated on the
+  // middle link with no extra delay: all four deliveries share one instant,
+  // so schedule order alone decides theirs. The copy is scheduled before
+  // its hop, and both after the hop to child 1.
+  LoggedNet f(star_tree(3));
+  f.network.set_perturb_fn([](const Packet&, NodeId, NodeId to) {
+    Perturbation p;
+    p.duplicate = to == 2;
+    return p;
+  });
+  f.network.multicast(0, make_request_packet(0, 0, 1, 0.0));
+  f.sim.run();
+  const sim::SimTime at = sim::SimTime::millis(20);
+  EXPECT_EQ(f.log, (std::vector<Arrival>{{1, at}, {2, at}, {2, at}, {3, at}}));
+  EXPECT_EQ(f.sim.events_executed(), 3u);  // {1}, the copy, {2 3}
+  EXPECT_EQ(f.network.crossings()
+                .duplicated[static_cast<std::size_t>(PacketType::kRequest)],
+            1u);
+}
+
+TEST(NetworkFanOut, DropHookSeesCrossingsInNeighbourOrder) {
+  NetFixture f;  // 0(1(3 4) 2(5))
+  std::vector<std::pair<NodeId, NodeId>> seen;
+  f.network.set_drop_fn([&](const Packet&, NodeId from, NodeId to) {
+    seen.emplace_back(from, to);
+    return false;
+  });
+  f.network.multicast(3, make_request_packet(3, 0, 1, 0.0));
+  f.sim.run();
+  // Router 1 forwards to its parent before its other child; the root's
+  // crossing comes before router 2's, which only hears it afterwards.
+  EXPECT_EQ(seen, (std::vector<std::pair<NodeId, NodeId>>{
+                      {3, 1}, {1, 0}, {1, 4}, {0, 2}, {2, 5}}));
+}
+
 }  // namespace
 }  // namespace cesrm::net

@@ -421,6 +421,66 @@ TEST(Simulator, CancelPendingEvent) {
   EXPECT_FALSE(ran);
 }
 
+TEST(Simulator, StopInsideRunUntilKeepsPendingEventsRunnable) {
+  // stop() ends run_until early. The clock must stay at the stopping event,
+  // not jump to the horizon past the events still pending before it.
+  Simulator sim;
+  std::vector<double> at;
+  sim.schedule_at(SimTime::millis(1), [&] {
+    at.push_back(sim.now().to_millis());
+    sim.stop();
+  });
+  for (int ms : {2, 3})
+    sim.schedule_at(SimTime::millis(ms),
+                    [&] { at.push_back(sim.now().to_millis()); });
+  sim.run_until(SimTime::millis(5));
+  EXPECT_EQ(sim.now(), SimTime::millis(1));
+  EXPECT_EQ(sim.pending_events(), 2u);
+  sim.run_until(SimTime::millis(5));
+  EXPECT_EQ(at, (std::vector<double>{1.0, 2.0, 3.0}));
+  EXPECT_EQ(sim.now(), SimTime::millis(5));
+}
+
+TEST(Simulator, EventIsNotPendingInsideItsOwnCallback) {
+  // step() runs the callback in its slot, but retires the id first.
+  Simulator sim;
+  EventId id = kInvalidEventId;
+  bool pending_inside = true;
+  bool cancelled_inside = true;
+  id = sim.schedule_in(SimTime::millis(1), [&] {
+    pending_inside = sim.is_pending(id);
+    cancelled_inside = sim.cancel(id);
+  });
+  EXPECT_TRUE(sim.is_pending(id));
+  sim.run();
+  EXPECT_FALSE(pending_inside);
+  EXPECT_FALSE(cancelled_inside);
+  EXPECT_EQ(sim.events_cancelled(), 0u);
+  EXPECT_EQ(sim.events_executed(), 1u);
+}
+
+TEST(Simulator, ThrowingCallbackReleasesItsSlotAndCaptures) {
+  Simulator sim;
+  const auto owner = std::make_shared<int>(0);
+  const EventId thrower = sim.schedule_in(SimTime::millis(1), [p = owner] {
+    (void)p;
+    throw util::CheckError("boom");
+  });
+  bool later_ran = false;
+  sim.schedule_in(SimTime::millis(2), [&] { later_ran = true; });
+  EXPECT_EQ(owner.use_count(), 2);
+  EXPECT_THROW(sim.step(), util::CheckError);
+  EXPECT_EQ(owner.use_count(), 1);
+  EXPECT_EQ(sim.pending_events(), 1u);
+  // The freed slot (low 32 bits of an id) is the next one handed out.
+  const EventId reuse = sim.schedule_at(SimTime::millis(3), [] {});
+  EXPECT_EQ(reuse & 0xffffffffu, thrower & 0xffffffffu);
+  EXPECT_NE(reuse, thrower);
+  sim.run();
+  EXPECT_TRUE(later_ran);
+  EXPECT_EQ(sim.now(), SimTime::millis(3));
+}
+
 // ---------------------------------------------------------------- timer ----
 
 TEST(Timer, FiresOnce) {
