@@ -23,7 +23,12 @@ std::string fmt_time(sim::SimTime t) {
 }
 
 std::string fmt_rank(int rank) {
-  return rank == kSourceRank ? "src" : "r" + std::to_string(rank);
+  if (rank == kSourceRank) return "src";
+  // Appending, not "r" + to_string: GCC 12 reports a false -Wrestrict
+  // overlap inside char_traits for the prepend.
+  std::string out = "r";
+  out += std::to_string(rank);
+  return out;
 }
 
 }  // namespace

@@ -22,48 +22,146 @@ namespace cesrm::harness {
 
 namespace {
 
-/// Deterministic shard map for a multicast tree: root on shard 0, each
-/// root-child subtree wholly on one shard by greedy longest-first
-/// bin-packing. Any map is correct; this one keeps floods mostly
-/// intra-shard.
-std::vector<int> partition_tree(const net::MulticastTree& tree, int shards) {
+/// How far the packed heaviest shard may exceed an even share before
+/// partition_tree splits another piece. Each split cuts more tree edges,
+/// and every cut edge turns its traffic into cross-shard posts. At 3%,
+/// the heaviest shard of perfbench's and bench_scale's 10^5 trees
+/// executes at most 9% more events than the mean at 2-4 shards.
+constexpr double kBalanceTolerance = 0.03;
+
+/// Expected events at each node of a scale run, from the traffic the run
+/// generates. Every flood (a data packet, its repair, and under SRM each
+/// losing block's own request) arrives once at every node but its
+/// sender. Every unicast (a block's session rounds, and under CESRM its
+/// expedited requests) arrives at each node on the block's path to the
+/// root, so a router carries one per block below it and the root all of
+/// them. A block's own timers (gap detection, requests, session rounds)
+/// add about one block's unicasts at its leaf. The model leaves out the
+/// SRM requests CESRM blocks multicast before their first recovery or
+/// after a failed expedited attempt. On bench_scale's 10^5 tree, whose
+/// leaves all sit at depth 5, they outnumber the modelled floods more
+/// than four to one, so there the model overweights the root.
+std::vector<double> node_load(const net::MulticastTree& tree,
+                              const ScaleConfig& config) {
+  const double packets = static_cast<double>(config.packets);
+  const double blocks = static_cast<double>(tree.receivers().size());
+  // Chance that a block has at least one member missing a given packet.
+  const double block_loss =
+      1.0 - std::pow(1.0 - config.member_loss,
+                     static_cast<double>(config.block_members));
+  double floods = 2.0 * packets;
+  double unicasts = packets * (config.period / config.session_period);
+  if (config.protocol == Protocol::kCesrm)
+    unicasts += packets * block_loss;
+  else
+    floods += blocks * packets * block_loss;
+  std::vector<double> load(tree.size());
+  for (std::size_t v = 0; v < tree.size(); ++v) {
+    const auto node = static_cast<net::NodeId>(v);
+    const double below =
+        static_cast<double>(tree.subtree_receivers(node).size());
+    load[v] = tree.is_root(node)
+                  ? unicasts * below
+                  : floods + unicasts * (below + (tree.is_leaf(node) ? 1 : 0));
+  }
+  return load;
+}
+
+}  // namespace
+
+std::vector<int> partition_tree(const net::MulticastTree& tree,
+                                const ScaleConfig& config) {
+  const int shards = config.shards;
   std::vector<int> shard_of(tree.size(), 0);
   if (shards <= 1) return shard_of;
-  struct Sub {
-    net::NodeId child = net::kInvalidNode;
-    std::size_t size = 0;
+  const std::vector<double> own = node_load(tree, config);
+  const net::NodeId root = tree.root();
+
+  // Subtree loads, children folded into parents in reverse BFS order.
+  std::vector<net::NodeId> order{root};
+  for (std::size_t i = 0; i < order.size(); ++i)
+    for (net::NodeId c : tree.children(order[i])) order.push_back(c);
+  std::vector<double> subtree = own;
+  for (auto it = order.rbegin(); it != order.rend(); ++it)
+    if (!tree.is_root(*it))
+      subtree[static_cast<std::size_t>(tree.parent(*it))] +=
+          subtree[static_cast<std::size_t>(*it)];
+  const auto sub = [&subtree](net::NodeId v) {
+    return subtree[static_cast<std::size_t>(v)];
   };
-  std::vector<Sub> subs;
-  for (net::NodeId c : tree.children(tree.root())) {
-    std::size_t n = 0;
-    std::vector<net::NodeId> stack{c};
-    while (!stack.empty()) {
-      const net::NodeId v = stack.back();
-      stack.pop_back();
-      ++n;
-      for (net::NodeId w : tree.children(v)) stack.push_back(w);
+  const double share = sub(root) / shards;
+
+  // A piece is a subtree, plus the split routers that follow its head.
+  struct Piece {
+    net::NodeId head = net::kInvalidNode;
+    double load = 0;
+    std::vector<net::NodeId> routers;
+  };
+  std::vector<Piece> pieces;
+  for (net::NodeId c : tree.children(root)) pieces.push_back({c, sub(c), {}});
+
+  // Longest-first onto the least-loaded shard, shard 0 already charged
+  // with the root (ScaleSource and the transmission live there). Returns
+  // the heaviest shard's load; bin[i] is pieces[i]'s shard.
+  std::vector<int> bin;
+  const auto pack = [&] {
+    std::sort(pieces.begin(), pieces.end(),
+              [](const Piece& a, const Piece& b) {
+                return a.load != b.load ? a.load > b.load : a.head < b.head;
+              });
+    std::vector<double> shard_load(static_cast<std::size_t>(shards), 0.0);
+    shard_load[0] = own[static_cast<std::size_t>(root)];
+    bin.clear();
+    for (const Piece& p : pieces) {
+      const auto least =
+          std::min_element(shard_load.begin(), shard_load.end());
+      *least += p.load;
+      bin.push_back(static_cast<int>(least - shard_load.begin()));
     }
-    subs.push_back({c, n});
+    return *std::max_element(shard_load.begin(), shard_load.end());
+  };
+
+  // Replace the heaviest splittable piece by its child subtrees until the
+  // packing is within tolerance of an even share. The split router rides
+  // with its heaviest child, so its load still counts where it will run.
+  while (pack() > share * (1.0 + kBalanceTolerance)) {
+    const auto heaviest =
+        std::find_if(pieces.begin(), pieces.end(),
+                     [&tree](const Piece& p) { return !tree.is_leaf(p.head); });
+    if (heaviest == pieces.end()) break;
+    Piece split = std::move(*heaviest);
+    pieces.erase(heaviest);
+    const auto& kids = tree.children(split.head);
+    const net::NodeId top = *std::min_element(
+        kids.begin(), kids.end(), [&sub](net::NodeId a, net::NodeId b) {
+          return sub(a) != sub(b) ? sub(a) > sub(b) : a < b;
+        });
+    const double riders = split.load - sub(split.head) +
+                          own[static_cast<std::size_t>(split.head)];
+    split.routers.push_back(split.head);
+    for (net::NodeId c : kids) {
+      if (c == top)
+        pieces.push_back({c, sub(c) + riders, std::move(split.routers)});
+      else
+        pieces.push_back({c, sub(c), {}});
+    }
   }
-  std::stable_sort(subs.begin(), subs.end(), [](const Sub& a, const Sub& b) {
-    return a.size != b.size ? a.size > b.size : a.child < b.child;
-  });
-  std::vector<std::size_t> load(static_cast<std::size_t>(shards), 0);
-  for (const Sub& s : subs) {
-    std::size_t best = 0;
-    for (std::size_t i = 1; i < load.size(); ++i)
-      if (load[i] < load[best]) best = i;
-    load[best] += s.size;
-    std::vector<net::NodeId> stack{s.child};
+
+  for (std::size_t i = 0; i < pieces.size(); ++i) {
+    std::vector<net::NodeId> stack{pieces[i].head};
     while (!stack.empty()) {
       const net::NodeId v = stack.back();
       stack.pop_back();
-      shard_of[static_cast<std::size_t>(v)] = static_cast<int>(best);
+      shard_of[static_cast<std::size_t>(v)] = bin[i];
       for (net::NodeId w : tree.children(v)) stack.push_back(w);
     }
+    for (net::NodeId r : pieces[i].routers)
+      shard_of[static_cast<std::size_t>(r)] = bin[i];
   }
   return shard_of;
 }
+
+namespace {
 
 constexpr sim::SimTime kWarmup = sim::SimTime::seconds(1);
 
@@ -166,8 +264,8 @@ ScaleResult run_scale(const ScaleConfig& config) {
   CESRM_CHECK(tree.receivers().size() == blocks);
 
   net::NetworkConfig netcfg;  // the paper's 1.5 Mbps / 20 ms defaults
-  sim::ShardedEngine engine(partition_tree(tree, config.shards),
-                            config.shards, netcfg.link_delay);
+  sim::ShardedEngine engine(partition_tree(tree, config), config.shards,
+                            netcfg.link_delay);
   sim::Simulator& root_sim = engine.sim(0);
   const auto sim_of = [&engine](net::NodeId node) -> sim::Simulator& {
     return engine.sim(engine.shard_of(node));
@@ -249,6 +347,8 @@ ScaleResult run_scale(const ScaleConfig& config) {
   r.blocks = blocks;
   r.tree_nodes = tree.size();
   r.events_executed = engine.events_executed();
+  for (int s = 0; s < engine.shards(); ++s)
+    r.shard_events.push_back(engine.sim(s).events_executed());
   r.wall_seconds = wall;
 
   obs::LogHistogram latency;

@@ -11,6 +11,11 @@
 // results for any shard count. 10⁵ receivers fit in a laptop's cache
 // slack; 10⁶ are a matter of patience, not feasibility.
 //
+// partition_tree decides which shard runs each tree node. It weighs every
+// node by the traffic the run sends through it and cuts the tree as deep
+// as it must for the shards to carry even loads: every lookahead window
+// lasts as long as its busiest shard.
+//
 // The driver measures what the scale story claims: events executed and
 // wall time, bytes of member state per receiver, total and per-period
 // session crossings versus the flat-SRM O(members × links) cost, and the
@@ -20,6 +25,7 @@
 
 #include <cstdint>
 #include <string>
+#include <vector>
 
 #include "net/topology.hpp"
 #include "protocol.hpp"
@@ -52,6 +58,10 @@ struct ScaleResult {
   std::uint64_t blocks = 0;
   std::uint64_t tree_nodes = 0;
   std::uint64_t events_executed = 0;
+  /// Events each shard executed. They sum to events_executed, but their
+  /// split depends on the shard layout, so no determinism check reads
+  /// them.
+  std::vector<std::uint64_t> shard_events;
   double wall_seconds = 0;  ///< host timing — never part of determinism
 
   // --- recovery outcome over all members ---
@@ -81,5 +91,17 @@ struct ScaleResult {
 };
 
 ScaleResult run_scale(const ScaleConfig& config);
+
+/// The shard map run_scale uses: entry v is the shard, in
+/// [0, config.shards), that runs node v of `tree`. The root is on shard
+/// 0. Each node is weighted by the events the configured traffic is
+/// expected to cause there. Starting from the root's child subtrees, the
+/// heaviest subtree is replaced by its children until packing the pieces
+/// longest-first onto the least-loaded shard (shard 0 charged with the
+/// root) leaves no shard more than 3% above an even share, or only leaves
+/// are left. A router whose children were separated runs on its heaviest
+/// child's shard. Deterministic; any map gives run_scale the same result.
+std::vector<int> partition_tree(const net::MulticastTree& tree,
+                                const ScaleConfig& config);
 
 }  // namespace cesrm::harness

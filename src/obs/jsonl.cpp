@@ -68,7 +68,7 @@ struct LineCursor {
 };
 
 bool parse_line(const std::string& line, TraceEvent& e, std::string& error) {
-  LineCursor c{line};
+  LineCursor c{line, 0, {}};
   if (!c.expect('{')) {
     error = c.error;
     return false;

@@ -7,6 +7,7 @@
 
 #include <cstddef>
 
+#include "net/ids.hpp"
 #include "sim/time.hpp"
 
 namespace cesrm::srm {
@@ -67,5 +68,17 @@ inline constexpr int kMaxRequestBackoff = 16;
 /// transmission.
 inline constexpr std::size_t kCatchUpBatch = 8;
 inline constexpr sim::SimTime kCatchUpInterval = sim::SimTime::millis(150);
+
+// --- ingress sequence bound ---
+/// A member drops any packet, session advert or journaled horizon that
+/// names a seq more than kSeqWindow above the highest seq it knows on any
+/// stream, and counts it in HostStats::seq_beyond_window. The wire codec
+/// admits seqs up to 2^48 - 1: one such DATA frame would size a stream's
+/// reception bitmap to 2^48 bits, and one such advert would detect ~2^48
+/// losses. The longest legitimate jump in the shipped fault scenarios is
+/// crash-recover's: a member down for 30% of the data window rejoins
+/// 0.3 × 148 970 ≈ 44 700 packets ahead on Table 1's longest trace
+/// (trace 2, uncapped). 2^17 leaves a margin of ~2.9 over that.
+inline constexpr net::SeqNo kSeqWindow = net::SeqNo{1} << 17;
 
 }  // namespace cesrm::srm

@@ -117,6 +117,10 @@ void SrmAgent::clear_volatile_recovery_state() {
 void SrmAgent::restore_horizon(net::NodeId source, net::SeqNo highest) {
   CESRM_CHECK_MSG(failed_, "restore_horizon() outside crash recovery");
   if (originates(source) || highest < 0) return;
+  if (highest > seq_limit_) {
+    ++stats_.seq_beyond_window;
+    return;
+  }
   // A stream of a node outside this tree (journal from another group
   // layout) would make catch-up issue requests whose distance queries
   // abort the run; drop the record instead of trusting it.
@@ -124,6 +128,7 @@ void SrmAgent::restore_horizon(net::NodeId source, net::SeqNo highest) {
     return;
   StreamState& s = stream(source);
   s.highest_seq = std::max(s.highest_seq, highest);
+  seq_limit_ = std::max(seq_limit_, highest + kSeqWindow);
 }
 
 void SrmAgent::restore_served(net::NodeId source, net::SeqNo seq,
@@ -185,6 +190,7 @@ void SrmAgent::send_data(net::SeqNo seq) {
   CESRM_CHECK_MSG(seq == s.last_sent + 1, "data sequence must be consecutive");
   s.last_sent = seq;
   s.highest_seq = std::max(s.highest_seq, seq);
+  seq_limit_ = std::max(seq_limit_, seq + kSeqWindow);
   ++stats_.data_sent;
   net_.multicast(self_, net::make_data_packet(self_, seq));
 }
@@ -275,6 +281,10 @@ void SrmAgent::finalize_stats() {
 
 void SrmAgent::on_packet(const net::Packet& pkt) {
   if (failed_) return;  // crash-stop: the member is deaf
+  if (pkt.seq > seq_limit_) {
+    ++stats_.seq_beyond_window;
+    return;
+  }
   switch (pkt.type) {
     case net::PacketType::kData:
       if (!originates(pkt.source)) {
@@ -287,6 +297,10 @@ void SrmAgent::on_packet(const net::Packet& pkt) {
       dist_.on_session(pkt.sender, *pkt.session, sim_.now());
       for (const auto& advert : pkt.session->streams) {
         if (originates(advert.source) || advert.highest_seq < 0) continue;
+        if (advert.highest_seq > seq_limit_) {
+          ++stats_.seq_beyond_window;
+          continue;
+        }
         note_new_sequence(advert.source, advert.highest_seq);
       }
       break;
@@ -331,6 +345,7 @@ void SrmAgent::note_new_sequence(net::NodeId source, net::SeqNo seq) {
   if (seq <= s.highest_seq) return;
   const net::SeqNo first = s.highest_seq + 1;
   s.highest_seq = seq;
+  seq_limit_ = std::max(seq_limit_, seq + kSeqWindow);
   if (durable_sink_) durable_sink_->on_horizon(source, seq);
   if (resync_pending_) {
     // First advance of the sequence horizon after recover(): the gap spans

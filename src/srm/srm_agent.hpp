@@ -110,6 +110,10 @@ struct HostStats {
   /// Losses whose recovery state was discarded because the member crashed
   /// while they were outstanding (they appear in no RecoveryRecord).
   std::uint64_t losses_abandoned_at_crash = 0;
+  /// Packets, session adverts and journaled horizons dropped because they
+  /// named a seq more than kSeqWindow above the highest seq this member
+  /// knew (srm/config.hpp). They never reach protocol state.
+  std::uint64_t seq_beyond_window = 0;
   /// Wire frames accepted by on_wire() and dispatched into the protocol.
   std::uint64_t wire_packets_decoded = 0;
   /// Wire frames rejected by on_wire(), by decode-error kind. Malformed
@@ -200,6 +204,8 @@ class SrmAgent : public net::Agent {
   /// Journal replay (while still failed, before recover()): raises
   /// `source`'s sequence horizon to at least `highest`. Idempotent;
   /// max-merges, so duplicated/reordered journal records are harmless.
+  /// A horizon beyond the ingress window (kSeqWindow) is dropped and
+  /// counted in HostStats::seq_beyond_window.
   void restore_horizon(net::NodeId source, net::SeqNo highest);
   /// Journal replay: records that this member already served the
   /// ⟨source, seq, requestor⟩ retransmission before its crash.
@@ -392,6 +398,10 @@ class SrmAgent : public net::Agent {
   DistanceTable dist_;
   HostStats stats_;
   bool failed_ = false;
+  /// Highest seq known on any stream, plus kSeqWindow: ingress drops
+  /// anything naming a larger seq. One member-wide value, so the check
+  /// costs a compare and no stream lookup; it only ever rises.
+  net::SeqNo seq_limit_ = net::kNoSeq + kSeqWindow;
 
   std::map<net::NodeId, StreamState> streams_;  ///< keyed by source id
   std::unique_ptr<sim::Timer> session_timer_;

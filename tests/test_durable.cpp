@@ -363,6 +363,49 @@ TEST(AgentStore, RestoreSkipsRecordsAnAgentMustNotTrust) {
   b.at(2).recover(SimTime::millis(5));
 }
 
+TEST(AgentStore, HorizonBeyondTheSeqWindowIsDroppedAndCounted) {
+  Bench b;
+  b.transmit(3);
+  b.run_until(SimTime::seconds(1));
+  ASSERT_EQ(b.at(2).highest_seq(0), 2);
+  b.at(2).fail();
+
+  DurableConfig config;
+  config.mode = DurableMode::kWarm;
+  config.flush_every = 1;
+  AgentStore store(2, config);
+  store.on_horizon(0, 2 + srm::kSeqWindow + 1000);
+  store.restore(b.at(2));
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
+  EXPECT_EQ(b.at(2).highest_seq(0), 2);
+  b.at(2).recover(SimTime::millis(5));
+  b.run_until(SimTime::seconds(3));
+  EXPECT_EQ(b.at(2).stats().losses_detected, 0u);
+  EXPECT_EQ(b.at(2).outstanding_losses(), 0u);
+}
+
+TEST(AgentStore, MaxSeqHorizonLeavesTheMemberRunning) {
+  Bench b;
+  b.at(2).fail();
+  DurableConfig config;
+  config.mode = DurableMode::kWarm;
+  config.flush_every = 1;
+  AgentStore store(2, config);
+  store.on_horizon(0, wire::kMaxSeqNo);
+  store.restore(b.at(2));
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
+  b.at(2).recover(SimTime::millis(5));
+
+  // The rejoined member takes the stream as usual, losses included.
+  b.drop(1, 2);
+  b.transmit(4, SimTime::millis(80), SimTime::millis(10));
+  b.run_until(SimTime::seconds(10));
+  for (SeqNo s = 0; s < 4; ++s)
+    EXPECT_TRUE(b.at(2).has_packet(0, s)) << "seq " << s;
+  EXPECT_EQ(b.at(2).stats().losses_detected, 1u);
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
+}
+
 TEST(AgentStore, DamagedTailTruncatesAndRestoreDegradesGracefully) {
   Bench b;
   DurableConfig config;

@@ -207,7 +207,9 @@ TEST(NetioShim, DataVerdictsAreDeterministicAndSubtreeCorrelated) {
     // Receivers 3 and 4 share lossy link 1: identical verdicts, at any
     // arrival time (DATA coins are time-independent).
     EXPECT_EQ(v3.drop, v4.drop) << "seq " << seq;
-    if (v3.drop) EXPECT_EQ(v3.dropped_on, 1);
+    if (v3.drop) {
+      EXPECT_EQ(v3.dropped_on, 1);
+    }
     // Link 2's subtree is loss-free.
     EXPECT_FALSE(v5.drop);
     // Stateless: a second shim with the same config agrees exactly.
@@ -511,6 +513,51 @@ TEST(NetioWireCorpus, RepliesNamingARouterAsReplierNeverReachTheCache) {
   EXPECT_EQ(agent.outstanding_losses(), 0u);
   EXPECT_EQ(agent.stats().exp_requests_sent, 0u);
   EXPECT_EQ(agent.cache().most_recent()->replier, 4);
+}
+
+TEST(NetioWireCorpus, SeqsBeyondTheWindowAreDroppedAndCounted) {
+  LiveMember member(47566);
+  srm::SrmAgent& agent = *member.agent;
+  UdpSocket tx;
+  const auto push = [&](const net::Packet& pkt) {
+    const std::uint64_t decoded = agent.stats().wire_packets_decoded + 1;
+    member.deliver(wire::encode_packet(pkt), tx);
+    for (int i = 0; i < 2000 && agent.stats().wire_packets_decoded < decoded;
+         ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+    ASSERT_EQ(agent.stats().wire_packets_decoded, decoded);
+  };
+  const auto advert = [](net::SeqNo highest) {
+    auto payload = std::make_shared<net::SessionPayload>();
+    payload->streams.push_back({0, highest});
+    return net::make_session_packet(0, 0, std::move(payload));
+  };
+  push(net::make_data_packet(0, 0));
+  if (::testing::Test::HasFatalFailure()) return;
+
+  // Held: seq 0. Each frame crosses the socket and decodes, then ingress
+  // drops it before it touches the stream.
+  const net::SeqNo far = 0 + srm::kSeqWindow + 1000;
+  for (const net::Packet& pkt :
+       {net::make_data_packet(0, far),
+        net::make_request_packet(2, 0, far, 0.002), advert(far)}) {
+    push(pkt);
+    if (::testing::Test::HasFatalFailure()) return;
+  }
+  EXPECT_EQ(agent.stats().seq_beyond_window, 3u);
+  EXPECT_EQ(agent.highest_seq(), 0);
+  EXPECT_EQ(agent.stats().losses_detected, 0u);
+  EXPECT_EQ(agent.stats().requests_received, 0u);
+
+  // A frame at the codec's largest seq is dropped the same way, and the
+  // member keeps running: the next gap is detected as usual.
+  push(net::make_data_packet(0, wire::kMaxSeqNo));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(agent.stats().seq_beyond_window, 4u);
+  push(net::make_data_packet(0, 2));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(agent.stats().losses_detected, 1u);
+  EXPECT_EQ(agent.outstanding_losses(), 1u);
 }
 
 // ------------------------------------------------- loopback full runs ----

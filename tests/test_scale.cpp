@@ -1,11 +1,14 @@
 // Scale-path suites: hierarchical session aggregation (bit-exact against
 // the flat O(N²) reference), struct-of-arrays ReceiverBlock semantics,
 // O(tree) session-packet growth, per-receiver memory accounting, shard-count
-// invariance of the whole run_scale path, and the sharded engine it runs
-// on.
+// invariance of the whole run_scale path, the load-balanced tree cut that
+// places its nodes on shards, and the sharded engine it runs on.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <functional>
+#include <numeric>
+#include <set>
 #include <sstream>
 #include <string>
 
@@ -242,7 +245,7 @@ TEST(ScaleSharding, ResultsIdenticalForEveryShardCount) {
     cfg.seed = 17;
     cfg.shards = 1;
     const std::string want = scale_fingerprint(harness::run_scale(cfg));
-    for (int shards : {2, 4}) {
+    for (int shards : {2, 3, 4, 8}) {
       cfg.shards = shards;
       EXPECT_EQ(want, scale_fingerprint(harness::run_scale(cfg)))
           << "protocol=" << protocol_name(protocol) << " shards=" << shards;
@@ -261,6 +264,96 @@ TEST(ScaleSharding, RejectsFewerThanOneShard) {
     EXPECT_THROW(harness::run_scale(cfg), util::CheckError)
         << "shards=" << shards;
   }
+}
+
+// ------------------------------------------------ the load-balanced cut ----
+
+/// Runs `cfg` at 2, 3 and 4 shards: the shards' executed events must add
+/// up to the run's and the heaviest may exceed their mean by 15% at most.
+void expect_even_shards(harness::ScaleConfig cfg) {
+  for (int shards : {2, 3, 4}) {
+    cfg.shards = shards;
+    const harness::ScaleResult r = harness::run_scale(cfg);
+    ASSERT_EQ(r.shard_events.size(), static_cast<std::size_t>(shards));
+    EXPECT_EQ(std::accumulate(r.shard_events.begin(), r.shard_events.end(),
+                              std::uint64_t{0}),
+              r.events_executed);
+    const double heaviest = static_cast<double>(
+        *std::max_element(r.shard_events.begin(), r.shard_events.end()));
+    const double mean =
+        static_cast<double>(r.events_executed) / static_cast<double>(shards);
+    EXPECT_LE(heaviest / mean, 1.15) << "shards=" << shards;
+  }
+}
+
+TEST(PartitionTree, PerfbenchTreeSplitsEventsEvenly) {
+  // perfbench's scale_population: CESRM, 10^5 receivers, the defaults.
+  expect_even_shards(harness::ScaleConfig{});
+}
+
+TEST(PartitionTree, BenchScaleTreeSplitsEventsEvenly) {
+  // bench_scale's 10^5 CESRM row: 1 000 blocks on a depth-5 tree.
+  harness::ScaleConfig cfg;
+  cfg.tree_depth = 5;
+  cfg.packets = 150;
+  expect_even_shards(cfg);
+}
+
+TEST(PartitionTree, RootOnShardZeroAndEveryNodeOnAShard) {
+  for (int seed = 1; seed <= 6; ++seed) {
+    util::Rng rng(static_cast<std::uint64_t>(seed));
+    net::TreeShape shape;
+    shape.receivers = 10 + 40 * seed;
+    shape.depth = 2 + seed % 5;
+    const auto tree = net::build_random_tree(shape, rng);
+    for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+      harness::ScaleConfig cfg;
+      cfg.protocol = protocol;
+      for (int shards = 1; shards <= 8; ++shards) {
+        cfg.shards = shards;
+        const std::vector<int> map = harness::partition_tree(tree, cfg);
+        ASSERT_EQ(map.size(), tree.size());
+        EXPECT_EQ(map[static_cast<std::size_t>(tree.root())], 0);
+        for (int s : map) {
+          EXPECT_GE(s, 0) << "seed=" << seed << " shards=" << shards;
+          EXPECT_LT(s, shards) << "seed=" << seed << " shards=" << shards;
+        }
+      }
+    }
+  }
+}
+
+TEST(PartitionTree, SameTreeAndConfigGiveTheSameCut) {
+  net::TreeShape shape;
+  shape.receivers = 300;
+  shape.depth = 5;
+  util::Rng a(11), b(11);
+  const auto tree = net::build_random_tree(shape, a);
+  const auto twin = net::build_random_tree(shape, b);
+  harness::ScaleConfig cfg;
+  for (int shards : {2, 3, 4, 8}) {
+    cfg.shards = shards;
+    const std::vector<int> map = harness::partition_tree(tree, cfg);
+    EXPECT_EQ(map, harness::partition_tree(tree, cfg)) << "shards=" << shards;
+    EXPECT_EQ(map, harness::partition_tree(twin, cfg)) << "shards=" << shards;
+  }
+}
+
+TEST(PartitionTree, RootWithOneChildSpreadsOverEveryShard) {
+  // Everything hangs below router 1: a cut at the root's children alone
+  // would load one shard and leave the others idle.
+  const auto tree = net::parse_tree(
+      "0(1(2(6 7 8) 3(9 10 11) 4(12 13 14) 5(15 16 17)))");
+  harness::ScaleConfig cfg;
+  cfg.shards = 4;
+  const std::vector<int> map = harness::partition_tree(tree, cfg);
+  EXPECT_EQ(map[0], 0);
+  const std::set<int> used(map.begin(), map.end());
+  EXPECT_EQ(used, (std::set<int>{0, 1, 2, 3}));
+  std::set<int> with_blocks;
+  for (net::NodeId leaf : tree.receivers())
+    with_blocks.insert(map[static_cast<std::size_t>(leaf)]);
+  EXPECT_EQ(with_blocks, (std::set<int>{0, 1, 2, 3}));
 }
 
 // --------------------------------------------------- engine unit tests ----

@@ -431,7 +431,9 @@ TEST(Proc, ParseVmHwmEmptyStreamIsNullopt) {
 TEST(Proc, PeakRssOnLinuxIsPlausible) {
   // The repo's platforms all have /proc; when present, the reading must be
   // a real measurement (a running process has a non-zero high-water mark).
-  if (const auto rss = peak_rss_bytes()) EXPECT_GT(*rss, 0u);
+  if (const auto rss = peak_rss_bytes()) {
+    EXPECT_GT(*rss, 0u);
+  }
 }
 
 TEST(Logging, ThresholdFilters) {

@@ -471,6 +471,78 @@ TEST(WireIngress, ValidFrameDispatchesIntoTheProtocol) {
   EXPECT_EQ(bench.receiver->outstanding_losses(), 1u);
 }
 
+// ------------------------------------------- sequence window at ingress ---
+
+/// A session packet from the source advertising `highest` on its stream.
+Packet session_advert(SeqNo highest) {
+  auto payload = std::make_shared<net::SessionPayload>();
+  payload->streams.push_back({0, highest});
+  return net::make_session_packet(0, 0, std::move(payload));
+}
+
+/// Well-formed DATA, REQUEST, REPLY and SESSION frames naming `seq`.
+std::vector<Bytes> frames_naming(SeqNo seq) {
+  net::RecoveryAnnotation ann;
+  ann.requestor = 2;
+  ann.replier = 0;
+  return {encode_packet(net::make_data_packet(0, seq)),
+          encode_packet(net::make_request_packet(0, 0, seq, 0.01)),
+          encode_packet(net::make_reply_packet(0, 0, seq, ann)),
+          encode_packet(session_advert(seq))};
+}
+
+TEST(WireIngress, SeqsBeyondTheWindowAreDroppedAndCounted) {
+  IngressBench bench;
+  srm::SrmAgent& rx = *bench.receiver;
+  ASSERT_TRUE(rx.on_wire(encode_packet(net::make_data_packet(0, 0))));
+  // Held: seq 0. Each frame decodes, then ingress drops it unseen.
+  for (const Bytes& frame : frames_naming(0 + srm::kSeqWindow + 1000))
+    EXPECT_TRUE(rx.on_wire(frame));
+  EXPECT_EQ(rx.stats().wire_packets_decoded, 5u);
+  EXPECT_EQ(rx.stats().seq_beyond_window, 4u);
+  EXPECT_EQ(rx.highest_seq(), 0);
+  EXPECT_EQ(rx.stats().losses_detected, 0u);
+  EXPECT_EQ(rx.stats().requests_received, 0u);
+  EXPECT_EQ(rx.outstanding_losses(), 0u);
+  EXPECT_EQ(rx.known_streams().size(), 1u);
+
+  // One past the window is dropped. The window's edge is a legitimate
+  // jump, and every packet up to it is a detected loss.
+  EXPECT_TRUE(rx.on_wire(encode_packet(session_advert(srm::kSeqWindow + 1))));
+  EXPECT_EQ(rx.stats().seq_beyond_window, 5u);
+  EXPECT_TRUE(rx.on_wire(encode_packet(session_advert(srm::kSeqWindow))));
+  EXPECT_EQ(rx.stats().seq_beyond_window, 5u);
+  EXPECT_EQ(rx.highest_seq(), srm::kSeqWindow);
+  EXPECT_EQ(rx.stats().losses_detected,
+            static_cast<std::uint64_t>(srm::kSeqWindow));
+}
+
+TEST(WireIngress, MaxSeqFramesLeaveTheMemberRunning) {
+  IngressBench bench;
+  srm::SrmAgent& rx = *bench.receiver;
+  for (const Bytes& frame : frames_naming(kMaxSeqNo))
+    EXPECT_TRUE(rx.on_wire(frame));
+  EXPECT_EQ(rx.stats().seq_beyond_window, 4u);
+  EXPECT_EQ(rx.highest_seq(), net::kNoSeq);
+  EXPECT_EQ(rx.stats().losses_detected, 0u);
+
+  // The group still runs: the source's packet 1 misses the receiver, the
+  // receiver detects the gap at packet 2 and recovers it by request.
+  bench.network->set_drop_fn(
+      [](const Packet& pkt, NodeId, NodeId to) {
+        return pkt.type == PacketType::kData && pkt.seq == 1 && to == 2;
+      });
+  for (SeqNo seq = 0; seq < 3; ++seq)
+    bench.sim.schedule_at(SimTime::millis(80) * seq,
+                          [&bench, seq] { bench.source->send_data(seq); });
+  bench.sim.run_until(SimTime::seconds(5));
+  for (SeqNo seq = 0; seq < 3; ++seq)
+    EXPECT_TRUE(rx.has_packet(0, seq)) << "seq " << seq;
+  EXPECT_EQ(rx.stats().losses_detected, 1u);
+  EXPECT_EQ(rx.outstanding_losses(), 0u);
+  EXPECT_EQ(rx.stats().seq_beyond_window, 4u);
+}
+
 // ------------------------------------------------------------- corpus -----
 
 Bytes parse_hex_file(const std::filesystem::path& path) {
