@@ -55,6 +55,8 @@ void CesrmAgent::restore_cache_tuple(net::NodeId source,
   if (tuple.seq < 0 || tuple.requestor == net::kInvalidNode ||
       tuple.replier == net::kInvalidNode)
     return;
+  // lost_ever_ takes the seq as is, so it gets the ingress window too.
+  if (beyond_seq_window(tuple.seq)) return;
   // A journal written against a different group layout (or by a buggy
   // writer) can name nodes this tree does not have, or a router as the
   // replier; distance queries and unicasts against them would abort the

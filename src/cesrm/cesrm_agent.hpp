@@ -84,7 +84,9 @@ class CesrmAgent : public srm::SrmAgent {
   /// Journal replay (while still failed, before recover()): re-admits a
   /// pre-crash cache tuple into `source`'s requestor/replier cache and
   /// re-marks its packet in the lost-ever ledger (§3.1: only packets this
-  /// host lost are cacheable — a journaled tuple proves it did).
+  /// host lost are cacheable — a journaled tuple proves it did). A seq
+  /// beyond the ingress window is dropped and counted in
+  /// HostStats::seq_beyond_window.
   void restore_cache_tuple(net::NodeId source, const RecoveryTuple& tuple);
 
  protected:

@@ -1,5 +1,7 @@
 #include "durable/store.hpp"
 
+#include <algorithm>
+
 #include "cesrm/cesrm_agent.hpp"
 #include "srm/srm_agent.hpp"
 #include "util/check.hpp"
@@ -120,6 +122,14 @@ void AgentStore::restore(srm::SrmAgent& agent) {
     // after the valid prefix.
     stable_.resize(result.valid_bytes);
   }
+  // Horizons replay first; the other records keep their journal order. A
+  // reply can reach a member before the data or advert that raises its
+  // horizon, so a tuple or served record may precede the horizon record
+  // that lifts the seq window over it; replayed in place, it would be
+  // dropped.
+  std::stable_partition(
+      result.records.begin(), result.records.end(),
+      [](const Record& rec) { return rec.kind == RecordKind::kHorizon; });
   auto* cesrm_agent = dynamic_cast<cesrm::CesrmAgent*>(&agent);
   for (const Record& rec : result.records) {
     switch (rec.kind) {

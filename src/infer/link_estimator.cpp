@@ -32,12 +32,20 @@ LinkEstimate estimate_links_yajnik(const trace::LossTrace& trace) {
     std::reverse(order.begin(), order.end());
   }
 
+  // Every packet with the same loss pattern yields the same arrival
+  // evidence, so each distinct pattern is evaluated once and weighted by
+  // its packet count. Pattern 0 (delivered everywhere) takes the rest.
+  auto histogram = trace.pattern_histogram();
+  std::uint64_t lossy = 0;
+  for (const auto& [pattern, count] : histogram) lossy += count;
+  histogram[0] = static_cast<std::uint64_t>(trace.packet_count()) - lossy;
+
   std::vector<std::uint8_t> arrived(n, 0);
-  for (net::SeqNo i = 0; i < trace.packet_count(); ++i) {
+  for (const auto& [pattern, count] : histogram) {
     for (net::NodeId v : order) {
       const auto vi = static_cast<std::size_t>(v);
       if (tree.is_leaf(v)) {
-        arrived[vi] = trace.lost_by_node(v, i) ? 0 : 1;
+        arrived[vi] = (pattern >> trace.receiver_index(v)) & 1u ? 0 : 1;
       } else if (tree.is_root(v)) {
         arrived[vi] = 1;  // the source transmitted the packet
       } else {
@@ -51,8 +59,8 @@ LinkEstimate estimate_links_yajnik(const trace::LossTrace& trace) {
       const auto li = static_cast<std::size_t>(l);
       const auto pi = static_cast<std::size_t>(tree.parent(l));
       if (arrived[pi]) {
-        ++out.samples[li];
-        if (!arrived[li]) ++drops[li];
+        out.samples[li] += count;
+        if (!arrived[li]) drops[li] += count;
       }
     }
   }

@@ -116,11 +116,8 @@ void SrmAgent::clear_volatile_recovery_state() {
 
 void SrmAgent::restore_horizon(net::NodeId source, net::SeqNo highest) {
   CESRM_CHECK_MSG(failed_, "restore_horizon() outside crash recovery");
-  if (originates(source) || highest < 0) return;
-  if (highest > seq_limit_) {
-    ++stats_.seq_beyond_window;
+  if (originates(source) || highest < 0 || beyond_seq_window(highest))
     return;
-  }
   // A stream of a node outside this tree (journal from another group
   // layout) would make catch-up issue requests whose distance queries
   // abort the run; drop the record instead of trusting it.
@@ -134,6 +131,7 @@ void SrmAgent::restore_horizon(net::NodeId source, net::SeqNo highest) {
 void SrmAgent::restore_served(net::NodeId source, net::SeqNo seq,
                               net::NodeId requestor) {
   CESRM_CHECK_MSG(failed_, "restore_served() outside crash recovery");
+  if (beyond_seq_window(seq)) return;
   restored_served_.emplace(source, seq, requestor);
 }
 
@@ -281,10 +279,7 @@ void SrmAgent::finalize_stats() {
 
 void SrmAgent::on_packet(const net::Packet& pkt) {
   if (failed_) return;  // crash-stop: the member is deaf
-  if (pkt.seq > seq_limit_) {
-    ++stats_.seq_beyond_window;
-    return;
-  }
+  if (beyond_seq_window(pkt.seq)) return;
   switch (pkt.type) {
     case net::PacketType::kData:
       if (!originates(pkt.source)) {
@@ -296,11 +291,9 @@ void SrmAgent::on_packet(const net::Packet& pkt) {
       CESRM_CHECK(pkt.session != nullptr);
       dist_.on_session(pkt.sender, *pkt.session, sim_.now());
       for (const auto& advert : pkt.session->streams) {
-        if (originates(advert.source) || advert.highest_seq < 0) continue;
-        if (advert.highest_seq > seq_limit_) {
-          ++stats_.seq_beyond_window;
+        if (originates(advert.source) || advert.highest_seq < 0 ||
+            beyond_seq_window(advert.highest_seq))
           continue;
-        }
         note_new_sequence(advert.source, advert.highest_seq);
       }
       break;

@@ -208,7 +208,8 @@ class SrmAgent : public net::Agent {
   /// counted in HostStats::seq_beyond_window.
   void restore_horizon(net::NodeId source, net::SeqNo highest);
   /// Journal replay: records that this member already served the
-  /// ⟨source, seq, requestor⟩ retransmission before its crash.
+  /// ⟨source, seq, requestor⟩ retransmission before its crash. A seq
+  /// beyond the ingress window is dropped and counted, as for horizons.
   void restore_served(net::NodeId source, net::SeqNo seq,
                       net::NodeId requestor);
   /// Restored-but-not-yet-consumed reply-dedup ledger entries.
@@ -380,6 +381,14 @@ class SrmAgent : public net::Agent {
   void mark_received(const net::Packet& via);
 
   ReplyState& reply_state(net::NodeId source, net::SeqNo seq);
+
+  /// True when `seq` lies above seq_limit_; counts it in
+  /// HostStats::seq_beyond_window, and the caller drops whatever named it.
+  bool beyond_seq_window(net::SeqNo seq) {
+    if (seq <= seq_limit_) return false;
+    ++stats_.seq_beyond_window;
+    return true;
+  }
 
   /// Consults the restored reply-dedup ledger before a retransmission of
   /// (`source`, `seq`) to `requestor` goes out. Returns true when the

@@ -21,15 +21,6 @@ GilbertElliott GilbertElliott::from_rate_and_burst(double loss_rate,
   return GilbertElliott(p_gb, p_bg);
 }
 
-bool GilbertElliott::step(util::Rng& rng) {
-  if (bad_) {
-    if (rng.bernoulli(p_bg_)) bad_ = false;
-  } else {
-    if (rng.bernoulli(p_gb_)) bad_ = true;
-  }
-  return bad_;
-}
-
 double GilbertElliott::stationary_loss_rate() const {
   const double denom = p_gb_ + p_bg_;
   return denom > 0.0 ? p_gb_ / denom : 0.0;

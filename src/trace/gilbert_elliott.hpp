@@ -28,7 +28,12 @@ class GilbertElliott {
 
   /// Advances one packet slot; returns true if that packet is LOST.
   /// The state transition is sampled first, then the state decides.
-  bool step(util::Rng& rng);
+  /// One draw per step, except where the transition probability is 0 or
+  /// 1 (Rng::bernoulli draws nothing there).
+  bool step(util::Rng& rng) {
+    if (rng.bernoulli(bad_ ? p_bg_ : p_gb_)) bad_ = !bad_;
+    return bad_;
+  }
 
   bool in_bad_state() const { return bad_; }
   void reset(bool bad = false) { bad_ = bad; }

@@ -1,6 +1,7 @@
 #include "trace/trace_generator.hpp"
 
 #include <algorithm>
+#include <bit>
 #include <cmath>
 
 #include "net/topology_builder.hpp"
@@ -49,7 +50,7 @@ Blueprint make_blueprint(const TraceSpec& spec, const GeneratorConfig& cfg,
   }
 
   // BFS node order guarantees parents precede children when propagating
-  // reachability packet by packet.
+  // reachability down the tree.
   bp.bfs_order.push_back(bp.tree->root());
   for (std::size_t i = 0; i < bp.bfs_order.size(); ++i)
     for (net::NodeId c : bp.tree->children(bp.bfs_order[i]))
@@ -57,75 +58,95 @@ Blueprint make_blueprint(const TraceSpec& spec, const GeneratorConfig& cfg,
   return bp;
 }
 
-/// Runs the loss processes at rate multiplier `mu`. When `out` is null the
-/// pass only counts total receiver losses (calibration); otherwise it
-/// fills the LossTrace and ground-truth drop links.
-std::uint64_t run_processes(const TraceSpec& spec, const Blueprint& bp,
-                            double mu, GeneratedTrace* out) {
+/// One run of the loss processes at rate multiplier `mu`. Row v of
+/// `unreached` (words_per_row 64-bit words) has bit i set iff packet i
+/// failed to reach node v; the root's row is all clear.
+struct Pass {
+  double mu = 0.0;
+  std::uint64_t losses = 0;  ///< set bits over the receivers' rows
+  std::size_t words_per_row = 0;
+  std::vector<std::uint64_t> unreached;
+
+  const std::uint64_t* row(net::NodeId v) const {
+    return unreached.data() + static_cast<std::size_t>(v) * words_per_row;
+  }
+};
+
+double link_rate(const Blueprint& bp, double mu, std::size_t link) {
+  return std::min(0.95, mu * bp.base_rate[link]);
+}
+
+/// Runs the loss processes link-major: each link's chain runs alone over
+/// the whole transmission (its draws come from its own seed only), and a
+/// node's row is its parent's row OR its own link's BAD slots, built in
+/// BFS order so every parent row is complete first.
+Pass run_processes(const TraceSpec& spec, const Blueprint& bp, double mu) {
   const auto& tree = *bp.tree;
-  const auto n = tree.size();
-
-  std::vector<util::Rng> link_rng;
-  std::vector<GilbertElliott> chain;
-  link_rng.reserve(n);
-  chain.reserve(n);
-  std::vector<double> final_rate(n, 0.0);
-  for (std::size_t v = 0; v < n; ++v) {
-    link_rng.emplace_back(bp.link_seed[v]);
-    const double rate = std::min(0.95, mu * bp.base_rate[v]);
-    final_rate[v] = rate;
-    chain.push_back(GilbertElliott::from_rate_and_burst(
-        std::max(rate, 0.0), bp.mean_burst[v]));
-  }
-
-  std::shared_ptr<LossTrace> loss;
-  if (out) {
-    loss = std::make_shared<LossTrace>(
-        spec.name, bp.tree, sim::SimTime::millis(spec.period_ms),
-        spec.packets);
-    out->true_drop_links.assign(static_cast<std::size_t>(spec.packets), {});
-    out->link_loss_rate = final_rate;
-    out->link_mean_burst = bp.mean_burst;
-  }
-
-  const auto& receivers = tree.receivers();
-  std::vector<std::uint8_t> reached(n, 0);
-  std::vector<std::uint8_t> bad(n, 0);
-  std::uint64_t total_losses = 0;
-
-  for (net::SeqNo i = 0; i < spec.packets; ++i) {
-    // All link states advance every packet slot — link quality evolves in
-    // time whether or not traffic reaches the link.
-    for (net::LinkId l : tree.links()) {
-      const auto li = static_cast<std::size_t>(l);
-      bad[li] = chain[li].step(link_rng[li]) ? 1 : 0;
+  const auto packets = static_cast<std::size_t>(spec.packets);
+  Pass pass;
+  pass.mu = mu;
+  pass.words_per_row = (packets + 63) / 64;
+  pass.unreached.assign(tree.size() * pass.words_per_row, 0);
+  for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi) {
+    const net::NodeId v = bp.bfs_order[oi];
+    const auto vi = static_cast<std::size_t>(v);
+    auto chain = GilbertElliott::from_rate_and_burst(link_rate(bp, mu, vi),
+                                                     bp.mean_burst[vi]);
+    util::Rng rng(bp.link_seed[vi]);
+    const std::uint64_t* above = pass.row(tree.parent(v));
+    std::uint64_t* self = pass.unreached.data() + vi * pass.words_per_row;
+    for (std::size_t w = 0; w < pass.words_per_row; ++w) {
+      const std::size_t slots = std::min<std::size_t>(64, packets - 64 * w);
+      std::uint64_t bad = 0;
+      for (std::size_t b = 0; b < slots; ++b)
+        bad |= static_cast<std::uint64_t>(chain.step(rng)) << b;
+      self[w] = above[w] | bad;
     }
-    reached[static_cast<std::size_t>(tree.root())] = 1;
+  }
+  for (net::NodeId r : tree.receivers()) {
+    const std::uint64_t* lost = pass.row(r);
+    for (std::size_t w = 0; w < pass.words_per_row; ++w)
+      pass.losses += static_cast<std::uint64_t>(std::popcount(lost[w]));
+  }
+  return pass;
+}
+
+/// Fills the LossTrace and the ground-truth drop links from `pass`'s rows.
+GeneratedTrace emit_trace(const TraceSpec& spec, const Blueprint& bp,
+                          const Pass& pass) {
+  const auto& tree = *bp.tree;
+  GeneratedTrace out;
+  out.loss = std::make_shared<LossTrace>(
+      spec.name, bp.tree, sim::SimTime::millis(spec.period_ms), spec.packets);
+  const auto for_each_bit = [](std::uint64_t word, std::size_t w, auto&& fn) {
+    for (; word != 0; word &= word - 1)
+      fn(static_cast<net::SeqNo>(64 * w) + std::countr_zero(word));
+  };
+  const auto& receivers = tree.receivers();
+  for (std::size_t r = 0; r < receivers.size(); ++r) {
+    const std::uint64_t* lost = pass.row(receivers[r]);
+    for (std::size_t w = 0; w < pass.words_per_row; ++w)
+      for_each_bit(lost[w], w, [&](net::SeqNo i) { out.loss->set_lost(r, i); });
+  }
+  // Link v dropped packet i iff i reached v's parent but not v. Links are
+  // visited in BFS order within each word, so every packet's list is in
+  // BFS order.
+  out.true_drop_links.assign(static_cast<std::size_t>(spec.packets), {});
+  for (std::size_t w = 0; w < pass.words_per_row; ++w) {
     for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi) {
       const net::NodeId v = bp.bfs_order[oi];
-      const auto vi = static_cast<std::size_t>(v);
-      const auto pi = static_cast<std::size_t>(tree.parent(v));
-      if (!reached[pi]) {
-        reached[vi] = 0;
-        continue;
-      }
-      if (bad[vi]) {
-        reached[vi] = 0;
-        if (out) out->true_drop_links[static_cast<std::size_t>(i)].push_back(v);
-      } else {
-        reached[vi] = 1;
-      }
-    }
-    for (std::size_t r = 0; r < receivers.size(); ++r) {
-      if (!reached[static_cast<std::size_t>(receivers[r])]) {
-        ++total_losses;
-        if (out) loss->set_lost(r, i);
-      }
+      for_each_bit(pass.row(v)[w] & ~pass.row(tree.parent(v))[w], w,
+                   [&](net::SeqNo i) {
+                     out.true_drop_links[static_cast<std::size_t>(i)]
+                         .push_back(v);
+                   });
     }
   }
-
-  if (out) out->loss = std::move(loss);
-  return total_losses;
+  for (std::size_t v = 0; v < tree.size(); ++v)
+    out.link_loss_rate.push_back(link_rate(bp, pass.mu, v));
+  out.link_mean_burst = bp.mean_burst;
+  out.rate_multiplier = pass.mu;
+  return out;
 }
 
 }  // namespace
@@ -139,58 +160,54 @@ GeneratedTrace generate_trace(const TraceSpec& spec,
 
   const auto target = static_cast<double>(spec.losses);
   const double tol = config.loss_tolerance;
+  const auto below = [&](const Pass& p) {
+    return static_cast<double>(p.losses) < target;
+  };
+  const auto error = [&](const Pass& p) {
+    return std::abs(static_cast<double>(p.losses) - target);
+  };
 
   // Bracket the multiplier: losses(mu) is (statistically) increasing.
-  double mu_lo = 1.0;
-  double mu_hi = 1.0;
-  std::uint64_t losses_at_hi = run_processes(spec, bp, mu_hi, nullptr);
+  Pass hi = run_processes(spec, bp, 1.0);
+  Pass lo = hi;
   int iters = 1;
-  while (static_cast<double>(losses_at_hi) < target && mu_hi < 4096.0) {
-    mu_lo = mu_hi;
-    mu_hi *= 2.0;
-    losses_at_hi = run_processes(spec, bp, mu_hi, nullptr);
+  while (below(hi) && hi.mu < 4096.0) {
+    lo = std::move(hi);
+    hi = run_processes(spec, bp, 2.0 * lo.mu);
     ++iters;
   }
-  std::uint64_t losses_at_lo = run_processes(spec, bp, mu_lo, nullptr);
+  // lo's pass is already in hand (the bracket's last step, or hi itself
+  // if the bracket never moved). Evaluating it still counts as a
+  // calibration step.
   ++iters;
-  while (static_cast<double>(losses_at_lo) > target && mu_lo > 1.0 / 4096.0) {
-    mu_hi = mu_lo;
-    losses_at_hi = losses_at_lo;
-    mu_lo /= 2.0;
-    losses_at_lo = run_processes(spec, bp, mu_lo, nullptr);
+  while (static_cast<double>(lo.losses) > target && lo.mu > 1.0 / 4096.0) {
+    hi = std::move(lo);
+    lo = run_processes(spec, bp, hi.mu / 2.0);
     ++iters;
   }
 
-  double best_mu = mu_hi;
-  double best_err = std::abs(static_cast<double>(losses_at_hi) - target);
-  auto consider = [&](double mu, std::uint64_t losses) {
-    const double err = std::abs(static_cast<double>(losses) - target);
-    if (err < best_err) {
-      best_err = err;
-      best_mu = mu;
-    }
-  };
-  consider(mu_lo, losses_at_lo);
-
-  while (iters < config.max_calibration_iters &&
-         best_err / target > tol) {
+  // Bisect, keeping the pass closest to the target (the earlier one on a
+  // tie); its rows become the trace, so no multiplier runs twice.
+  double mu_lo = lo.mu;
+  double mu_hi = hi.mu;
+  Pass best = std::move(hi);
+  if (error(lo) < error(best)) best = std::move(lo);
+  while (iters < config.max_calibration_iters && error(best) / target > tol) {
     const double mid = 0.5 * (mu_lo + mu_hi);
-    const std::uint64_t losses_mid = run_processes(spec, bp, mid, nullptr);
+    Pass pass = run_processes(spec, bp, mid);
     ++iters;
-    consider(mid, losses_mid);
-    if (static_cast<double>(losses_mid) < target)
+    if (below(pass))
       mu_lo = mid;
     else
       mu_hi = mid;
+    if (error(pass) < error(best)) best = std::move(pass);
     if (mu_hi - mu_lo < 1e-9) break;
   }
 
-  GeneratedTrace out;
-  const std::uint64_t final_losses = run_processes(spec, bp, best_mu, &out);
-  out.rate_multiplier = best_mu;
+  GeneratedTrace out = emit_trace(spec, bp, best);
   out.calibration_iters = iters;
   CESRM_LOG_INFO << "trace " << spec.name << ": target=" << spec.losses
-                 << " generated=" << final_losses << " mu=" << best_mu
+                 << " generated=" << best.losses << " mu=" << best.mu
                  << " iters=" << iters;
   return out;
 }

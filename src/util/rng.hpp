@@ -24,15 +24,27 @@ class Rng {
   explicit Rng(std::uint64_t seed = 0x9E3779B97F4A7C15ULL);
 
   /// Raw 64-bit output.
-  std::uint64_t next_u64();
+  std::uint64_t next_u64() {
+    const std::uint64_t result = rotl(s_[1] * 5, 7) * 9;
+    const std::uint64_t t = s_[1] << 17;
+    s_[2] ^= s_[0];
+    s_[3] ^= s_[1];
+    s_[1] ^= s_[2];
+    s_[0] ^= s_[3];
+    s_[2] ^= t;
+    s_[3] = rotl(s_[3], 45);
+    return result;
+  }
 
   /// UniformRandomBitGenerator interface (usable with <random> adaptors).
   static constexpr result_type min() { return 0; }
   static constexpr result_type max() { return ~0ULL; }
   result_type operator()() { return next_u64(); }
 
-  /// Uniform double in [0, 1).
-  double next_double();
+  /// Uniform double in [0, 1): the 53 high bits of one draw.
+  double next_double() {
+    return static_cast<double>(next_u64() >> 11) * 0x1.0p-53;
+  }
 
   /// Uniform integer in [lo, hi] (inclusive). Requires lo <= hi.
   std::int64_t uniform_int(std::int64_t lo, std::int64_t hi);
@@ -41,7 +53,12 @@ class Rng {
   double uniform(double lo, double hi);
 
   /// Bernoulli trial with success probability p (clamped to [0,1]).
-  bool bernoulli(double p);
+  /// Takes no draw when p <= 0 or p >= 1.
+  bool bernoulli(double p) {
+    if (p <= 0.0) return false;
+    if (p >= 1.0) return true;
+    return next_double() < p;
+  }
 
   /// Exponentially distributed value with the given mean (> 0).
   double exponential(double mean);
@@ -69,6 +86,10 @@ class Rng {
   }
 
  private:
+  static std::uint64_t rotl(std::uint64_t x, int k) {
+    return (x << k) | (x >> (64 - k));
+  }
+
   std::uint64_t s_[4];
 };
 

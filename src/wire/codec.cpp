@@ -84,14 +84,23 @@ class Cursor {
   }
 
   /// Consumes `n` bytes, requiring them all zero (the canonical payload).
+  /// Tests 8 bytes at a time, then byte by byte from the first non-zero
+  /// word through the tail, so an error names the first non-zero byte.
   void zeros(std::size_t n, const char* field) {
     if (error_) return;
     if (remaining() < n) {
       fail(DecodeErrorKind::kTruncated, field);
       return;
     }
-    for (std::size_t i = 0; i < n; ++i) {
-      if (frame_[pos_ + i] != 0) {
+    const std::uint8_t* bytes = frame_.data() + pos_;
+    std::size_t i = 0;
+    for (; i + 8 <= n; i += 8) {
+      std::uint64_t word;
+      std::memcpy(&word, bytes + i, sizeof(word));
+      if (word != 0) break;
+    }
+    for (; i < n; ++i) {
+      if (bytes[i] != 0) {
         pos_ += i;
         fail(DecodeErrorKind::kFieldOutOfRange, field);
         return;

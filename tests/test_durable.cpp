@@ -406,6 +406,83 @@ TEST(AgentStore, MaxSeqHorizonLeavesTheMemberRunning) {
   EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
 }
 
+/// A tuple member 2 of the Bench tree may journal: member 3 requested,
+/// the source replied.
+net::RecoveryAnnotation journaled_tuple() {
+  net::RecoveryAnnotation ann;
+  ann.requestor = 3;
+  ann.dist_requestor_source = 0.02;
+  ann.replier = 0;
+  ann.dist_replier_requestor = 0.02;
+  return ann;
+}
+
+/// Member 2 rejoins after a replay, then takes a stream with one loss.
+void expect_member_keeps_running(Bench& b) {
+  b.at(2).recover(SimTime::millis(5));
+  b.drop(1, 2);
+  b.transmit(4, SimTime::millis(80), SimTime::millis(10));
+  b.run_until(SimTime::seconds(10));
+  for (SeqNo s = 0; s < 4; ++s)
+    EXPECT_TRUE(b.at(2).has_packet(0, s)) << "seq " << s;
+  EXPECT_EQ(b.at(2).stats().losses_detected, 1u);
+}
+
+TEST(AgentStore, MaxSeqCacheTupleIsDroppedAndLeavesTheMemberRunning) {
+  Bench b;
+  b.at(2).fail();
+  DurableConfig config;
+  config.mode = DurableMode::kWarm;
+  config.flush_every = 1;
+  AgentStore store(2, config);
+  store.on_cache_tuple(0, wire::kMaxSeqNo, journaled_tuple());
+  store.restore(b.at(2));
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
+  EXPECT_TRUE(b.at(2).cache(0).empty());
+  expect_member_keeps_running(b);
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 1u);
+}
+
+TEST(AgentStore, MaxSeqServedRecordIsDroppedAndLeavesTheMemberRunning) {
+  Bench b;
+  b.at(2).fail();
+  DurableConfig config;
+  config.mode = DurableMode::kWarm;
+  config.flush_every = 1;
+  AgentStore store(2, config);
+  store.on_reply_served(0, wire::kMaxSeqNo, 3, /*expedited=*/false);
+  store.on_reply_served(0, wire::kMaxSeqNo, 3, /*expedited=*/true);
+  store.restore(b.at(2));
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 2u);
+  EXPECT_EQ(b.at(2).served_ledger_size(), 0u);
+  expect_member_keeps_running(b);
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 2u);
+}
+
+TEST(AgentStore, RecordsJournaledBeforeTheirHorizonAreKept) {
+  // A fresh member's window ends below kSeqWindow. The journal's tuple
+  // and served record name a seq above it, and precede the horizon
+  // records that carry the window over that seq (a reply can arrive
+  // before its data). Horizons replay first, so neither is dropped.
+  Bench b;
+  b.at(2).fail();
+  DurableConfig config;
+  config.mode = DurableMode::kWarm;
+  config.flush_every = 1;
+  AgentStore store(2, config);
+  const SeqNo seq = srm::kSeqWindow + 10;
+  store.on_cache_tuple(0, seq, journaled_tuple());
+  store.on_reply_served(0, seq, 3, /*expedited=*/false);
+  store.on_horizon(0, 100);
+  store.on_horizon(0, seq);
+  store.restore(b.at(2));
+  EXPECT_EQ(b.at(2).stats().seq_beyond_window, 0u);
+  EXPECT_EQ(b.at(2).highest_seq(0), seq);
+  EXPECT_EQ(b.at(2).served_ledger_size(), 1u);
+  ASSERT_FALSE(b.at(2).cache(0).empty());
+  EXPECT_EQ(b.at(2).cache(0).most_recent()->seq, seq);
+}
+
 TEST(AgentStore, DamagedTailTruncatesAndRestoreDegradesGracefully) {
   Bench b;
   DurableConfig config;

@@ -4,6 +4,8 @@
 #include <gtest/gtest.h>
 
 #include <cmath>
+#include <string>
+#include <vector>
 
 #include "infer/combination_solver.hpp"
 #include "infer/link_estimator.hpp"
@@ -87,6 +89,65 @@ TEST(YajnikEstimator, LosslessTraceGivesZeroRates) {
   const auto est = estimate_links_yajnik(t);
   for (net::LinkId l : tree->links())
     EXPECT_DOUBLE_EQ(est.loss_rate[static_cast<std::size_t>(l)], 0.0);
+}
+
+TEST(YajnikEstimator, PinnedOnTable1Traces) {
+  // Exact per-link denominators and rates, recorded from the per-packet
+  // walk the per-pattern tally replaced. Trace 2 has 19 links, trace 12
+  // 11; slot 0 is the root's.
+  struct Pin {
+    int id;
+    std::vector<std::uint64_t> samples;
+    std::vector<double> loss_rate;
+  };
+  const Pin pins[] = {
+      {2,
+       {0,      148970, 148649, 148414, 147672, 147672, 148970,
+        148970, 148970, 139937, 145418, 143232, 148072, 140834,
+        139081, 139937, 145418, 148649, 139937, 148414},
+       {0x0p+0,
+        0x1.1a6ef6ffa8e4fp-9,
+        0x1.9e6cc32d877a8p-10,
+        0x1.47a62abe3e416p-8,
+        0x1.f427ff392e1cfp-7,
+        0x1.ec9c9a9b5b133p-6,
+        0x1.f0bbaf1f40858p-5,
+        0x1.8b0e0dba24113p-8,
+        0x1.bf68014ad352cp-5,
+        0x1.90e2dfcc130ffp-8,
+        0x1.ec229a6edbcb7p-10,
+        0x0p+0,
+        0x0p+0,
+        0x0p+0,
+        0x0p+0,
+        0x1.d9f1e7165986ep-10,
+        0x1.0b3fcd4c9c65dp-7,
+        0x1.2b22a8a8e5bd1p-7,
+        0x1.2b427b66658eap-7,
+        0x1.138b0d2cc11edp-10}},
+      {12,
+       {0, 38724, 38241, 35204, 38724, 32159, 38385, 35204, 38241, 38241,
+        38385, 38241},
+       {0x0p+0,
+        0x1.98b624a69828p-7,
+        0x1.454b2869fc4a9p-4,
+        0x1.624979ac66f86p-4,
+        0x1.1edc102ef6b7ep-7,
+        0x0p+0,
+        0x1.5a29715ef6b92p-6,
+        0x1.a99c1cf8a40dep-5,
+        0x1.1b330495ed6ep-6,
+        0x1.7f221156a53b1p-4,
+        0x1.ee45e8454e9c5p-6,
+        0x1.21328c9f4cb29p-6}},
+  };
+  for (const Pin& pin : pins) {
+    SCOPED_TRACE("trace " + std::to_string(pin.id));
+    const auto gen = trace::generate_table1_trace(pin.id);
+    const auto est = estimate_links_yajnik(*gen.loss);
+    EXPECT_EQ(est.samples, pin.samples);
+    EXPECT_EQ(est.loss_rate, pin.loss_rate);
+  }
 }
 
 // ----------------------------------------------------------------- MINC ----

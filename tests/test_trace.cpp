@@ -2,7 +2,10 @@
 // the Table-1 catalog, the calibrated generator, and serialization.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <sstream>
+#include <string>
+#include <utility>
 
 #include "net/topology_builder.hpp"
 #include "trace/catalog.hpp"
@@ -283,6 +286,141 @@ TEST(TraceGenerator, Table1TraceSmoke) {
       static_cast<double>(gen.loss->total_losses()),
       static_cast<double>(spec.losses),
       0.02 * static_cast<double>(spec.losses) + 1.0);
+}
+
+// ------------------------------------------------------ generator pins ----
+//
+// Exact outputs of generate_trace, recorded from the packet-major
+// generator the link-major one replaced. Any change to seeding, the draw
+// stream, the calibration search or the emission order moves them.
+
+/// FNV-1a over every packet's loss pattern and ground-truth drop links.
+std::uint64_t trace_digest(const GeneratedTrace& gen) {
+  std::uint64_t h = 0xcbf29ce484222325ULL;
+  auto mix = [&h](std::uint64_t v) {
+    for (int b = 0; b < 8; ++b) {
+      h ^= (v >> (8 * b)) & 0xffu;
+      h *= 0x100000001b3ULL;
+    }
+  };
+  for (net::SeqNo i = 0; i < gen.loss->packet_count(); ++i) {
+    mix(gen.loss->pattern(i));
+    const auto& drops = gen.true_drop_links.at(static_cast<std::size_t>(i));
+    mix(drops.size());
+    for (net::LinkId l : drops) mix(static_cast<std::uint64_t>(l));
+  }
+  return h;
+}
+
+/// The benches' --packets-cap scaling (bench_common.cpp's capped_spec).
+TraceSpec capped(const TraceSpec& spec, net::SeqNo cap) {
+  if (cap <= 0 || cap >= spec.packets) return spec;
+  TraceSpec scaled = spec;
+  const double scale =
+      static_cast<double>(cap) / static_cast<double>(spec.packets);
+  scaled.packets = cap;
+  scaled.losses =
+      static_cast<std::int64_t>(static_cast<double>(spec.losses) * scale);
+  return scaled;
+}
+
+TraceSpec pin_spec(net::SeqNo packets, std::int64_t losses,
+                   std::uint64_t seed = 2024) {
+  TraceSpec spec;
+  spec.name = "PIN";
+  spec.receivers = 6;
+  spec.depth = 3;
+  spec.period_ms = 40;
+  spec.packets = packets;
+  spec.losses = losses;
+  spec.seed = seed;
+  return spec;
+}
+
+struct GeneratorPin {
+  double rate_multiplier;
+  int calibration_iters;
+  std::uint64_t total_losses;
+  std::uint64_t digest;
+};
+
+GeneratedTrace expect_pin(const TraceSpec& spec, const GeneratorPin& pin) {
+  auto gen = generate_trace(spec);
+  EXPECT_EQ(gen.rate_multiplier, pin.rate_multiplier);
+  EXPECT_EQ(gen.calibration_iters, pin.calibration_iters);
+  EXPECT_EQ(gen.loss->total_losses(), pin.total_losses);
+  EXPECT_EQ(gen.true_drop_links.size(),
+            static_cast<std::size_t>(spec.packets));
+  EXPECT_EQ(trace_digest(gen), pin.digest);
+  return gen;
+}
+
+TEST(GeneratorPins, UncappedTable1Traces) {
+  // Trace 2's 148 970 packets end 42 bits into a word; trace 12 doubles
+  // its bracket to 8 before bisecting.
+  const std::pair<int, GeneratorPin> pins[] = {
+      {2, {0x1.ep-2, 7, 55211u, 0x4c40523c7394c2ceULL}},
+      {4, {0x1.1p+1, 8, 10308u, 0x476ae092855120feULL}},
+      {5, {0x1p-1, 3, 15854u, 0x50402337c28bcb41ULL}},
+      {12, {0x1.58p+2, 10, 20923u, 0xdb918fbc43834440ULL}},
+  };
+  for (const auto& [id, pin] : pins) {
+    SCOPED_TRACE("trace " + std::to_string(id));
+    expect_pin(table1_spec(id), pin);
+  }
+}
+
+TEST(GeneratorPins, AllTable1TracesCappedAt2000) {
+  const GeneratorPin pins[14] = {
+      {0x1.dap-2, 11, 1084u, 0x3828b7dc5bed5a62ULL},
+      {0x1.5p-1, 7, 752u, 0x781453f8a5fd591cULL},
+      {0x1.0bep-1, 14, 724u, 0x157f4ddcc4ddeca5ULL},
+      {0x1.ep+0, 6, 1160u, 0x103a93a315b5332aULL},
+      {0x1.d8p-2, 9, 555u, 0xfd1e521fd3a4da23ULL},
+      {0x1.8p-1, 4, 909u, 0x1c412c9435fe95dcULL},
+      {0x1.ap-1, 6, 1303u, 0xd417c5cc5b752af7ULL},
+      {0x1.a4p-3, 11, 604u, 0xb0628e0ba85fc69cULL},
+      {0x1.ap-1, 6, 1463u, 0xc56019132f0c9a0cULL},
+      {0x1.7p-2, 8, 745u, 0x1f06f53917f6e27dULL},
+      {0x1.bp-2, 8, 1218u, 0xa6cfdde26757afe3ULL},
+      {0x1.5ap+2, 12, 1078u, 0xc671ed81da4ce13fULL},
+      {0x1.38p+0, 8, 1485u, 0xb213440b128fc99eULL},
+      {0x1.28p+0, 8, 1246u, 0x04ff7871dc54af3fULL},
+  };
+  for (int id = 1; id <= 14; ++id) {
+    SCOPED_TRACE("trace " + std::to_string(id));
+    expect_pin(capped(table1_spec(id), 2000),
+               pins[static_cast<std::size_t>(id - 1)]);
+  }
+}
+
+TEST(GeneratorPins, WordBoundaryLengths) {
+  // One packet, and one short of, exactly, and one past a 64-bit word.
+  const std::pair<net::SeqNo, GeneratorPin> pins[] = {
+      {1, {0x1p+3, 37, 2u, 0x8c338e05afce4945ULL}},
+      {63, {0x1p+0, 2, 15u, 0x1cb0c1ada700e5c1ULL}},
+      {64, {0x1.34p+0, 9, 16u, 0x489596b6aa3538ceULL}},
+      {65, {0x1.34p+0, 9, 16u, 0xd75b94db27bcbc4eULL}},
+  };
+  for (const auto& [packets, pin] : pins) {
+    SCOPED_TRACE("packets " + std::to_string(packets));
+    expect_pin(pin_spec(packets, std::max<std::int64_t>(1, packets / 4)),
+               pin);
+  }
+}
+
+TEST(GeneratorPins, UnreachableTargetSaturatesEveryLink) {
+  // Twice the cells there are: the bracket doubles to 4096, every link's
+  // rate hits the 0.95 cap, so p_gb = 1 and GOOD→BAD takes no draw.
+  const auto gen = expect_pin(pin_spec(1000, 6 * 1000 * 2),
+                              {0x1p+12, 40, 5960u, 0xb2820693f9ceb42fULL});
+  for (net::LinkId l : gen.loss->tree().links())
+    EXPECT_EQ(gen.link_loss_rate[static_cast<std::size_t>(l)], 0.95);
+}
+
+TEST(GeneratorPins, OneLossTargetHalvesToTheFloor) {
+  expect_pin(pin_spec(10000, 1, 37),
+             {0x1p-12, 14, 1u, 0xa25023e2eb028084ULL});
 }
 
 // -------------------------------------------------------- serialization ----

@@ -220,6 +220,36 @@ TEST(WireDecode, NonZeroPayloadBytesRejectedAsNonCanonical) {
   EXPECT_STREQ(err->field, "payload");
 }
 
+TEST(WireDecode, NonZeroPayloadErrorNamesTheFirstNonZeroByte) {
+  // The payload is checked a word at a time; the error must still name
+  // the byte a byte-by-byte scan stops at, for every word alignment and
+  // tail length, with and without a later non-zero byte behind it.
+  std::vector<int> lengths;
+  for (int len = 1; len <= 24; ++len) lengths.push_back(len);
+  lengths.push_back(1024);
+  for (int len : lengths) {
+    Packet data = net::make_data_packet(0, 1);
+    data.size_bytes = len;
+    const Bytes clean = encode_packet(data);
+    const std::size_t start = clean.size() - static_cast<std::size_t>(len);
+    for (std::size_t at = start; at < clean.size(); ++at) {
+      for (bool trailing : {false, true}) {
+        Bytes buf = clean;
+        buf[at] = 0x80;
+        if (trailing) buf.back() |= 0x01;
+        std::size_t first = start;
+        while (buf[first] == 0) ++first;  // the byte loop's verdict
+        Packet out;
+        const auto err = decode_packet(buf, &out);
+        ASSERT_TRUE(err.has_value()) << "len " << len << " at " << at;
+        EXPECT_EQ(err->kind, DecodeErrorKind::kFieldOutOfRange);
+        EXPECT_EQ(err->offset, first) << "len " << len << " at " << at;
+        EXPECT_STREQ(err->field, "payload");
+      }
+    }
+  }
+}
+
 TEST(WireDecode, NonFiniteDistanceRejected) {
   Packet req = net::make_request_packet(3, 0, 1, 0.1);
   Bytes buf = encode_packet(req);
