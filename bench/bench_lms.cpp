@@ -72,10 +72,8 @@ RunOutcome run(Proto proto, const trace::GeneratedTrace& gen,
       });
   network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                           net::NodeId to) {
-    if (pkt.type != net::PacketType::kData) return false;
-    if (tree.parent(to) != from) return false;
-    const auto& drops = links.drop_links(pkt.seq);
-    return std::binary_search(drops.begin(), drops.end(), to);
+    return pkt.type == net::PacketType::kData &&
+           links.drops(pkt.seq, from, to);
   });
   group.start_sessions(rng, opts.base.cesrm.srm.session_period);
 

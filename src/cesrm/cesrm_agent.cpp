@@ -66,7 +66,7 @@ void CesrmAgent::restore_cache_tuple(net::NodeId source,
   if (source < 0 || source >= nodes || !is_member(net_.tree(), tuple.replier))
     return;
   if (tuple.replier == node()) return;  // we cannot serve our own repairs
-  lost_ever_[source].insert(tuple.seq);
+  mark_lost_ever(source, tuple.seq);
   // Re-anchor the requestor to the restarting member. The durable value of
   // a cached tuple is ⟨replier, d̂rq⟩ — who can serve repairs, and how
   // close they are. The journaled requestor is whoever won the request
@@ -107,11 +107,21 @@ const RecoveryCache& CesrmAgent::cache(net::NodeId source) const {
 
 bool CesrmAgent::lost_ever(net::NodeId source, net::SeqNo seq) const {
   const auto it = lost_ever_.find(source);
-  return it != lost_ever_.end() && it->second.count(seq) != 0;
+  return it != lost_ever_.end() && seq >= 0 &&
+         static_cast<std::size_t>(seq) < it->second.size() &&
+         it->second[static_cast<std::size_t>(seq)];
+}
+
+void CesrmAgent::mark_lost_ever(net::NodeId source, net::SeqNo seq) {
+  CESRM_DCHECK(seq >= 0);
+  auto& bits = lost_ever_[source];
+  const auto at = static_cast<std::size_t>(seq);
+  if (at >= bits.size()) bits.resize(at + 1);
+  bits[at] = true;
 }
 
 void CesrmAgent::on_loss_detected(WantState& want) {
-  lost_ever_[want.source].insert(want.seq);
+  mark_lost_ever(want.source, want.seq);
 
   // Consult the lost packet's per-source cache: if the selected pair names
   // us as the expeditious requestor, arm the expedited request

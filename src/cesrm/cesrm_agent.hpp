@@ -30,7 +30,7 @@
 #pragma once
 
 #include <map>
-#include <unordered_set>
+#include <vector>
 
 #include "cesrm/cache.hpp"
 #include "cesrm/policy.hpp"
@@ -101,13 +101,17 @@ class CesrmAgent : public srm::SrmAgent {
   /// True when this host ever detected the loss of (`source`, `seq`) —
   /// §3.1: replies for packets we did not lose leave the cache untouched.
   bool lost_ever(net::NodeId source, net::SeqNo seq) const;
+  void mark_lost_ever(net::NodeId source, net::SeqNo seq);
 
   CesrmConfig cesrm_config_;
   /// §3.1: "each host maintains a collection of per-source
   /// requestor/replier caches, one for each source from which it receives
   /// packets".
   mutable std::map<net::NodeId, RecoveryCache> caches_;
-  std::map<net::NodeId, std::unordered_set<net::SeqNo>> lost_ever_;
+  /// The lost-ever ledger: per source, bit `seq` is set once this host
+  /// detected that packet's loss. Both writers take only seqs inside the
+  /// ingress window (srm::kSeqWindow), which bounds each vector's length.
+  std::map<net::NodeId, std::vector<bool>> lost_ever_;
   /// Counters of caches dropped by crash-clearing, so cache_stats() stays
   /// a whole-lifetime aggregate across restarts.
   CacheStats retired_cache_stats_;

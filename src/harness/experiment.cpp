@@ -201,11 +201,8 @@ ExperimentResult run_experiment_impl(
   net::DropFn base_drop = [&](const net::Packet& pkt, net::NodeId from,
                               net::NodeId to) {
     switch (pkt.type) {
-      case net::PacketType::kData: {
-        if (tree.parent(to) != from) return false;  // upstream: impossible
-        const auto& drops = links.drop_links(pkt.seq);
-        return std::binary_search(drops.begin(), drops.end(), to);
-      }
+      case net::PacketType::kData:
+        return links.drops(pkt.seq, from, to);
       case net::PacketType::kSession:
         return false;
       default: {

@@ -1,8 +1,6 @@
 #include "infer/link_trace.hpp"
 
-#include <algorithm>
-
-#include "util/check.hpp"
+#include <unordered_map>
 
 namespace cesrm::infer {
 
@@ -11,29 +9,25 @@ LinkTraceRepresentation::LinkTraceRepresentation(
     : trace_(&trace) {
   solver_ = std::make_unique<CombinationSolver>(
       trace.tree(), std::move(link_loss_rate), trace.receivers());
-  per_packet_links_.resize(static_cast<std::size_t>(trace.packet_count()));
-  per_packet_confidence_.assign(
-      static_cast<std::size_t>(trace.packet_count()), 1.0f);
+  std::unordered_map<trace::LossPattern, std::uint32_t> index;
+  const auto index_of = [&](trace::LossPattern x) {
+    const auto [it, fresh] =
+        index.try_emplace(x, static_cast<std::uint32_t>(results_.size()));
+    if (fresh) results_.push_back(&solver_->solve(x));
+    return it->second;
+  };
+  index_of(0);
+  result_index_.resize(static_cast<std::size_t>(trace.packet_count()));
   for (net::SeqNo i = 0; i < trace.packet_count(); ++i) {
     const trace::LossPattern x = trace.pattern(i);
-    if (x == 0) continue;
-    const CombinationResult& res = solver_->solve(x);
-    per_packet_links_[static_cast<std::size_t>(i)] = res.links;
-    per_packet_confidence_[static_cast<std::size_t>(i)] =
-        static_cast<float>(res.confidence);
+    result_index_[static_cast<std::size_t>(i)] = x == 0 ? 0 : index_of(x);
   }
-}
-
-const std::vector<net::LinkId>& LinkTraceRepresentation::drop_links(
-    net::SeqNo seq) const {
-  CESRM_CHECK(seq >= 0 && seq < packet_count());
-  return per_packet_links_[static_cast<std::size_t>(seq)];
 }
 
 net::LinkId LinkTraceRepresentation::link_for(std::size_t ridx,
                                               net::SeqNo seq) const {
   if (!trace_->lost(ridx, seq)) return net::kInvalidLink;
-  const auto& links = drop_links(seq);
+  const auto links = drop_links(seq);
   net::NodeId v = trace_->receiver_node(ridx);
   while (v != net::kInvalidNode) {
     if (std::binary_search(links.begin(), links.end(), v)) return v;
@@ -44,16 +38,11 @@ net::LinkId LinkTraceRepresentation::link_for(std::size_t ridx,
   return net::kInvalidLink;
 }
 
-double LinkTraceRepresentation::confidence(net::SeqNo seq) const {
-  CESRM_CHECK(seq >= 0 && seq < packet_count());
-  return per_packet_confidence_[static_cast<std::size_t>(seq)];
-}
-
 double LinkTraceRepresentation::fraction_confident(double threshold) const {
   std::uint64_t lossy = 0;
   std::uint64_t confident = 0;
   for (net::SeqNo i = 0; i < packet_count(); ++i) {
-    if (per_packet_links_[static_cast<std::size_t>(i)].empty()) continue;
+    if (drop_links(i).empty()) continue;
     ++lossy;
     if (confidence(i) > threshold) ++confident;
   }
@@ -62,13 +51,14 @@ double LinkTraceRepresentation::fraction_confident(double threshold) const {
 }
 
 double LinkTraceRepresentation::truth_match_fraction(
-    const std::vector<std::vector<net::LinkId>>& truth) const {
+    const trace::DropLinkTable& truth) const {
   CESRM_CHECK(static_cast<net::SeqNo>(truth.size()) == packet_count());
   std::uint64_t lossy = 0;
   std::uint64_t matched = 0;
   const auto& tree = trace_->tree();
+  std::vector<net::LinkId> effective;
   for (net::SeqNo i = 0; i < packet_count(); ++i) {
-    const auto& selected = per_packet_links_[static_cast<std::size_t>(i)];
+    const auto selected = drop_links(i);
     if (selected.empty()) continue;
     ++lossy;
     // Ground truth may include drops that shadowed no receiver (already
@@ -76,10 +66,11 @@ double LinkTraceRepresentation::truth_match_fraction(
     // entire receiver set also lost the packet via an ancestor; restrict
     // to the *effective* antichain: true drops not downstream of another
     // true drop.
-    std::vector<net::LinkId> effective;
-    for (net::LinkId l : truth[static_cast<std::size_t>(i)]) {
+    const auto dropped = truth[static_cast<std::size_t>(i)];
+    effective.clear();
+    for (net::LinkId l : dropped) {
       bool shadowed = false;
-      for (net::LinkId other : truth[static_cast<std::size_t>(i)]) {
+      for (net::LinkId other : dropped) {
         if (other != l && tree.is_ancestor(other, l)) {
           shadowed = true;
           break;
@@ -88,7 +79,7 @@ double LinkTraceRepresentation::truth_match_fraction(
       if (!shadowed) effective.push_back(l);
     }
     std::sort(effective.begin(), effective.end());
-    if (effective == selected) ++matched;
+    if (std::ranges::equal(effective, selected)) ++matched;
   }
   return lossy ? static_cast<double>(matched) / static_cast<double>(lossy)
                : 1.0;

@@ -1,6 +1,6 @@
 #include "trace/loss_trace.hpp"
 
-#include "util/check.hpp"
+#include <bit>
 
 namespace cesrm::trace {
 
@@ -20,9 +20,7 @@ LossTrace::LossTrace(std::string name,
   node_to_ridx_.assign(tree_->size(), kNpos);
   for (std::size_t r = 0; r < receivers_.size(); ++r)
     node_to_ridx_[static_cast<std::size_t>(receivers_[r])] = r;
-  loss_.assign(receivers_.size(),
-               std::vector<std::uint8_t>(
-                   static_cast<std::size_t>(packet_count_), 0));
+  patterns_.assign(static_cast<std::size_t>(packet_count_), 0);
 }
 
 net::NodeId LossTrace::receiver_node(std::size_t ridx) const {
@@ -38,39 +36,28 @@ std::size_t LossTrace::receiver_index(net::NodeId node) const {
 }
 
 void LossTrace::set_lost(std::size_t ridx, net::SeqNo seq, bool lost) {
-  CESRM_CHECK(ridx < loss_.size());
+  CESRM_CHECK(ridx < receivers_.size());
   CESRM_CHECK(seq >= 0 && seq < packet_count_);
-  loss_[ridx][static_cast<std::size_t>(seq)] = lost ? 1 : 0;
-}
-
-bool LossTrace::lost(std::size_t ridx, net::SeqNo seq) const {
-  CESRM_DCHECK(ridx < loss_.size());
-  CESRM_DCHECK(seq >= 0 && seq < packet_count_);
-  return loss_[ridx][static_cast<std::size_t>(seq)] != 0;
+  const LossPattern bit = LossPattern{1} << ridx;
+  auto& p = patterns_[static_cast<std::size_t>(seq)];
+  p = lost ? (p | bit) : (p & ~bit);
 }
 
 bool LossTrace::lost_by_node(net::NodeId node, net::SeqNo seq) const {
   return lost(receiver_index(node), seq);
 }
 
-LossPattern LossTrace::pattern(net::SeqNo seq) const {
-  LossPattern p = 0;
-  for (std::size_t r = 0; r < loss_.size(); ++r)
-    if (lost(r, seq)) p |= (LossPattern{1} << r);
-  return p;
-}
-
 std::uint64_t LossTrace::total_losses() const {
   std::uint64_t total = 0;
-  for (std::size_t r = 0; r < loss_.size(); ++r)
-    total += receiver_losses(r);
+  for (const LossPattern p : patterns_)
+    total += static_cast<std::uint64_t>(std::popcount(p));
   return total;
 }
 
 std::uint64_t LossTrace::receiver_losses(std::size_t ridx) const {
-  CESRM_CHECK(ridx < loss_.size());
+  CESRM_CHECK(ridx < receivers_.size());
   std::uint64_t n = 0;
-  for (auto b : loss_[ridx]) n += b;
+  for (const LossPattern p : patterns_) n += (p >> ridx) & 1u;
   return n;
 }
 
@@ -82,17 +69,14 @@ double LossTrace::loss_rate() const {
 
 std::uint64_t LossTrace::lossy_packets() const {
   std::uint64_t n = 0;
-  for (net::SeqNo i = 0; i < packet_count_; ++i)
-    if (pattern(i) != 0) ++n;
+  for (const LossPattern p : patterns_) n += p != 0;
   return n;
 }
 
 std::map<LossPattern, std::uint64_t> LossTrace::pattern_histogram() const {
   std::map<LossPattern, std::uint64_t> hist;
-  for (net::SeqNo i = 0; i < packet_count_; ++i) {
-    const LossPattern p = pattern(i);
+  for (const LossPattern p : patterns_)
     if (p != 0) ++hist[p];
-  }
   return hist;
 }
 
@@ -101,8 +85,7 @@ double LossTrace::pattern_repeat_fraction() const {
   std::uint64_t transitions = 0;
   LossPattern prev = 0;
   bool have_prev = false;
-  for (net::SeqNo i = 0; i < packet_count_; ++i) {
-    const LossPattern p = pattern(i);
+  for (const LossPattern p : patterns_) {
     if (p == 0) continue;
     if (have_prev) {
       ++transitions;
@@ -117,21 +100,16 @@ double LossTrace::pattern_repeat_fraction() const {
 }
 
 double LossTrace::mean_burst_length() const {
+  // A receiver's burst starts at each packet it lost right after one it
+  // received (or at packet 0): bit r set here and clear in the previous
+  // pattern.
   std::uint64_t bursts = 0;
   std::uint64_t losses = 0;
-  for (const auto& seq : loss_) {
-    bool in_burst = false;
-    for (auto b : seq) {
-      if (b) {
-        ++losses;
-        if (!in_burst) {
-          ++bursts;
-          in_burst = true;
-        }
-      } else {
-        in_burst = false;
-      }
-    }
+  LossPattern prev = 0;
+  for (const LossPattern p : patterns_) {
+    losses += static_cast<std::uint64_t>(std::popcount(p));
+    bursts += static_cast<std::uint64_t>(std::popcount(p & ~prev));
+    prev = p;
   }
   return bursts ? static_cast<double>(losses) / static_cast<double>(bursts)
                 : 0.0;

@@ -7,7 +7,9 @@
 //
 // Loss *patterns* (the subset of receivers that lost a given packet,
 // packed into a 32-bit mask — the traces have ≤ 17 receivers) are the unit
-// the link-inference machinery of §4.2 operates on.
+// the link-inference machinery of §4.2 operates on, and the unit the trace
+// stores: one pattern per packet, so a receiver's loss bit is one shift
+// away and every aggregate reads one array.
 #pragma once
 
 #include <cstdint>
@@ -19,6 +21,7 @@
 #include "net/ids.hpp"
 #include "net/topology.hpp"
 #include "sim/time.hpp"
+#include "util/check.hpp"
 
 namespace cesrm::trace {
 
@@ -47,11 +50,17 @@ class LossTrace {
 
   /// Marks packet `seq` lost by receiver index `ridx`.
   void set_lost(std::size_t ridx, net::SeqNo seq, bool lost = true);
-  bool lost(std::size_t ridx, net::SeqNo seq) const;
+  bool lost(std::size_t ridx, net::SeqNo seq) const {
+    CESRM_DCHECK(ridx < receivers_.size());
+    return (pattern(seq) >> ridx) & 1u;
+  }
   bool lost_by_node(net::NodeId node, net::SeqNo seq) const;
 
   /// Loss pattern of packet `seq` (bit r set ⇔ receiver index r lost it).
-  LossPattern pattern(net::SeqNo seq) const;
+  LossPattern pattern(net::SeqNo seq) const {
+    CESRM_DCHECK(seq >= 0 && seq < packet_count_);
+    return patterns_[static_cast<std::size_t>(seq)];
+  }
 
   /// Total losses summed over receivers — Table 1's "# of Losses" column.
   std::uint64_t total_losses() const;
@@ -81,7 +90,7 @@ class LossTrace {
   net::SeqNo packet_count_;
   std::vector<net::NodeId> receivers_;
   std::vector<std::size_t> node_to_ridx_;  // kNpos for non-receivers
-  std::vector<std::vector<std::uint8_t>> loss_;  // [ridx][seq]
+  std::vector<LossPattern> patterns_;      // [seq]
 
   static constexpr std::size_t kNpos = static_cast<std::size_t>(-1);
 };

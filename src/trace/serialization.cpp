@@ -1,5 +1,6 @@
 #include "trace/serialization.hpp"
 
+#include <algorithm>
 #include <fstream>
 #include <sstream>
 
@@ -14,7 +15,7 @@ constexpr const char* kMagic = "# cesrm-trace v1";
 }
 
 void write_trace(std::ostream& os, const LossTrace& trace,
-                 const std::vector<std::vector<net::LinkId>>* truth) {
+                 const DropLinkTable* truth) {
   os << kMagic << '\n';
   os << "name " << trace.name() << '\n';
   os << "period_ms " << static_cast<std::int64_t>(trace.period().to_millis())
@@ -46,7 +47,7 @@ void write_trace(std::ostream& os, const LossTrace& trace,
 }
 
 void save_trace(const std::string& path, const LossTrace& trace,
-                const std::vector<std::vector<net::LinkId>>* truth) {
+                const DropLinkTable* truth) {
   std::ofstream out(path);
   CESRM_CHECK_MSG(out.good(), "cannot open for write: " << path);
   write_trace(out, trace, truth);
@@ -64,7 +65,8 @@ TraceFile read_trace(std::istream& is) {
   net::SeqNo packets = -1;
   std::shared_ptr<const net::MulticastTree> tree;
   std::vector<std::pair<std::size_t, std::string>> loss_lines;
-  std::vector<std::pair<net::SeqNo, std::vector<net::LinkId>>> truth_lines;
+  // Links stay 64-bit until the tree is known to bound them.
+  std::vector<std::pair<net::SeqNo, std::vector<std::int64_t>>> truth_lines;
   bool saw_end = false;
 
   while (std::getline(is, line)) {
@@ -102,11 +104,11 @@ TraceFile read_trace(std::istream& is) {
       CESRM_CHECK_MSG(!toks.empty(), "malformed truth line");
       const auto seq = util::parse_int(toks[0]);
       CESRM_CHECK_MSG(seq && *seq >= 0, "bad truth seq");
-      std::vector<net::LinkId> links;
+      std::vector<std::int64_t> links;
       for (std::size_t t = 1; t < toks.size(); ++t) {
         const auto l = util::parse_int(toks[t]);
-        CESRM_CHECK_MSG(l && *l >= 0, "bad truth link");
-        links.push_back(static_cast<net::LinkId>(*l));
+        CESRM_CHECK_MSG(l, "bad truth link");
+        links.push_back(*l);
       }
       truth_lines.emplace_back(*seq, std::move(links));
     } else {
@@ -123,8 +125,12 @@ TraceFile read_trace(std::istream& is) {
                                          packets);
   CESRM_CHECK_MSG(loss_lines.size() == out.loss->receiver_count(),
                   "loss line count mismatch");
+  std::vector<bool> seen(out.loss->receiver_count(), false);
   for (const auto& [ridx, rle] : loss_lines) {
-    CESRM_CHECK(ridx < out.loss->receiver_count());
+    CESRM_CHECK_MSG(ridx < out.loss->receiver_count(),
+                    "bad receiver index " << ridx);
+    CESRM_CHECK_MSG(!seen[ridx], "second loss line for receiver " << ridx);
+    seen[ridx] = true;
     net::SeqNo pos = 0;
     for (const auto& tok : util::split_ws(rle)) {
       const auto x = tok.find('x');
@@ -134,6 +140,9 @@ TraceFile read_trace(std::istream& is) {
       CESRM_CHECK_MSG(count && *count > 0 && value &&
                           (*value == 0 || *value == 1),
                       "bad RLE token: " << tok);
+      CESRM_CHECK_MSG(*count <= packets - pos,
+                      "RLE runs past packet " << packets << " for receiver "
+                                              << ridx);
       if (*value == 1)
         for (net::SeqNo i = 0; i < *count; ++i)
           out.loss->set_lost(ridx, pos + i);
@@ -143,10 +152,31 @@ TraceFile read_trace(std::istream& is) {
                                         << ridx << ": " << pos);
   }
   if (!truth_lines.empty()) {
-    out.true_drop_links.assign(static_cast<std::size_t>(packets), {});
-    for (auto& [seq, links] : truth_lines) {
-      CESRM_CHECK(seq < packets);
-      out.true_drop_links[static_cast<std::size_t>(seq)] = std::move(links);
+    std::sort(truth_lines.begin(), truth_lines.end(),
+              [](const auto& a, const auto& b) { return a.first < b.first; });
+    std::size_t total = 0;
+    for (std::size_t k = 0; k < truth_lines.size(); ++k) {
+      const auto& [seq, links] = truth_lines[k];
+      CESRM_CHECK_MSG(seq < packets, "truth seq " << seq << " past the trace");
+      CESRM_CHECK_MSG(k == 0 || truth_lines[k - 1].first != seq,
+                      "second truth line for seq " << seq);
+      // is_ancestor and the link tables index by link: only the tree's
+      // links (every node but the root) are valid.
+      for (const std::int64_t l : links)
+        CESRM_CHECK_MSG(l >= 0 && static_cast<std::size_t>(l) < tree->size() &&
+                            !tree->is_root(static_cast<net::NodeId>(l)),
+                        "truth link " << l << " is not a link of the tree");
+      total += links.size();
+    }
+    out.true_drop_links.reserve(static_cast<std::size_t>(packets), total);
+    auto line = truth_lines.begin();
+    for (net::SeqNo i = 0; i < packets; ++i) {
+      if (line != truth_lines.end() && line->first == i) {
+        for (const std::int64_t l : line->second)
+          out.true_drop_links.add_link(static_cast<net::LinkId>(l));
+        ++line;
+      }
+      out.true_drop_links.end_packet();
     }
   }
   return out;

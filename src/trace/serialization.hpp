@@ -17,18 +17,20 @@ namespace cesrm::trace {
 /// Serialized trace bundle: the loss trace and (optionally) ground truth.
 struct TraceFile {
   std::shared_ptr<LossTrace> loss;
-  std::vector<std::vector<net::LinkId>> true_drop_links;  // may be empty
+  DropLinkTable true_drop_links;  // empty without truth lines
   bool has_truth() const { return !true_drop_links.empty(); }
 };
 
 /// Writes a trace (with ground truth when `truth` is non-null).
 void write_trace(std::ostream& os, const LossTrace& trace,
-                 const std::vector<std::vector<net::LinkId>>* truth = nullptr);
+                 const DropLinkTable* truth = nullptr);
 void save_trace(const std::string& path, const LossTrace& trace,
-                const std::vector<std::vector<net::LinkId>>* truth = nullptr);
+                const DropLinkTable* truth = nullptr);
 
-/// Parses a trace written by write_trace. Throws util::CheckError on
-/// malformed input.
+/// Parses a trace written by write_trace; truth lines may come in any seq
+/// order. Throws util::CheckError on malformed input, including a second
+/// loss line for one receiver, a second truth line for one packet, and a
+/// truth link that is not a link of the file's tree.
 TraceFile read_trace(std::istream& is);
 TraceFile load_trace(const std::string& path);
 

@@ -128,18 +128,30 @@ GeneratedTrace emit_trace(const TraceSpec& spec, const Blueprint& bp,
     for (std::size_t w = 0; w < pass.words_per_row; ++w)
       for_each_bit(lost[w], w, [&](net::SeqNo i) { out.loss->set_lost(r, i); });
   }
-  // Link v dropped packet i iff i reached v's parent but not v. Links are
-  // visited in BFS order within each word, so every packet's list is in
-  // BFS order.
-  out.true_drop_links.assign(static_cast<std::size_t>(spec.packets), {});
+  // Link v dropped packet i iff i reached v's parent but not v. Packets
+  // are closed in seq order, each with its links in BFS order.
+  const auto drop_word = [&](std::size_t oi, std::size_t w) {
+    const net::NodeId v = bp.bfs_order[oi];
+    return pass.row(v)[w] & ~pass.row(tree.parent(v))[w];
+  };
+  std::size_t drops = 0;
+  for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi)
+    for (std::size_t w = 0; w < pass.words_per_row; ++w)
+      drops += static_cast<std::size_t>(std::popcount(drop_word(oi, w)));
+  const auto packets = static_cast<std::size_t>(spec.packets);
+  out.true_drop_links.reserve(packets, drops);
+  std::vector<std::uint64_t> word(bp.bfs_order.size(), 0);
   for (std::size_t w = 0; w < pass.words_per_row; ++w) {
-    for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi) {
-      const net::NodeId v = bp.bfs_order[oi];
-      for_each_bit(pass.row(v)[w] & ~pass.row(tree.parent(v))[w], w,
-                   [&](net::SeqNo i) {
-                     out.true_drop_links[static_cast<std::size_t>(i)]
-                         .push_back(v);
-                   });
+    std::uint64_t any = 0;
+    for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi)
+      any |= word[oi] = drop_word(oi, w);
+    const std::size_t slots = std::min<std::size_t>(64, packets - 64 * w);
+    for (std::size_t b = 0; b < slots; ++b) {
+      if ((any >> b) & 1u)
+        for (std::size_t oi = 1; oi < bp.bfs_order.size(); ++oi)
+          if ((word[oi] >> b) & 1u)
+            out.true_drop_links.add_link(bp.bfs_order[oi]);
+      out.true_drop_links.end_packet();
     }
   }
   for (std::size_t v = 0; v < tree.size(); ++v)

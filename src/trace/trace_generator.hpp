@@ -17,6 +17,7 @@
 #include "net/ids.hpp"
 #include "net/topology.hpp"
 #include "trace/catalog.hpp"
+#include "trace/drop_link_table.hpp"
 #include "trace/loss_trace.hpp"
 #include "util/rng.hpp"
 
@@ -40,9 +41,9 @@ struct GeneratorConfig {
 struct GeneratedTrace {
   std::shared_ptr<LossTrace> loss;
   /// For each packet, the links on which it was dropped (links whose
-  /// Gilbert chain was BAD *and* that the packet actually reached).
-  /// Indexed by sequence number; empty vector = delivered everywhere.
-  std::vector<std::vector<net::LinkId>> true_drop_links;
+  /// Gilbert chain was BAD *and* that the packet actually reached), in BFS
+  /// order. Indexed by sequence number; no links = delivered everywhere.
+  DropLinkTable true_drop_links;
   /// Per-link loss processes actually used after calibration, indexed by
   /// LinkId (= child node id); entry for the root is unused.
   std::vector<double> link_loss_rate;

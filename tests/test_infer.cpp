@@ -3,6 +3,7 @@
 // solver, and the link trace representation.
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <cmath>
 #include <string>
 #include <vector>
@@ -431,6 +432,48 @@ TEST(LinkTrace, ConfidenceOfCleanPacketsIsOne) {
   EXPECT_DOUBLE_EQ(links.confidence(0), 1.0);
   EXPECT_TRUE(links.drop_links(0).empty());
   EXPECT_FALSE(links.drop_links(3).empty());
+}
+
+TEST(LinkTrace, EveryPacketCarriesItsPatternsCombination) {
+  // Packets are stored as an index into the solver's results: each must
+  // read back exactly solve(pattern), the confidence rounded to float as
+  // the per-packet copies were.
+  for (const int id : {2, 12}) {
+    SCOPED_TRACE("trace " + std::to_string(id));
+    const auto gen = trace::generate_table1_trace(id);
+    const auto est = estimate_links_yajnik(*gen.loss);
+    const LinkTraceRepresentation links(*gen.loss, est.loss_rate);
+    ASSERT_EQ(links.packet_count(), gen.loss->packet_count());
+    for (net::SeqNo i = 0; i < gen.loss->packet_count(); ++i) {
+      const CombinationResult& res = links.solver().solve(gen.loss->pattern(i));
+      ASSERT_TRUE(std::ranges::equal(links.drop_links(i), res.links))
+          << "seq " << i;
+      ASSERT_EQ(links.confidence(i),
+                static_cast<double>(static_cast<float>(res.confidence)))
+          << "seq " << i;
+    }
+  }
+}
+
+TEST(LinkTrace, DropsOnlyDownstreamCrossingsOntoDropLinks) {
+  // Packet 1 drops on link 1 (receivers 3 and 4), packet 2 on link 4.
+  auto tree = small_tree();
+  const auto t = make_trace_with_drops(tree, 4, {{1, {1}}, {2, {4}}});
+  const LinkTraceRepresentation links(t, estimate_links_yajnik(t).loss_rate);
+  ASSERT_TRUE(std::ranges::equal(links.drop_links(1),
+                                 std::vector<net::LinkId>{1}));
+  EXPECT_TRUE(links.drops(1, 0, 1));
+  EXPECT_FALSE(links.drops(1, 1, 0));  // upstream over the same link
+  EXPECT_FALSE(links.drops(1, 1, 3));  // below the drop
+  EXPECT_FALSE(links.drops(1, 0, 2));
+  EXPECT_TRUE(links.drops(2, 1, 4));
+  EXPECT_FALSE(links.drops(2, 4, 1));
+  EXPECT_FALSE(links.drops(2, 0, 1));
+  EXPECT_FALSE(links.drops(2, 1, 3));
+  for (net::NodeId v = 1; v < 6; ++v) {
+    EXPECT_FALSE(links.drops(0, tree->parent(v), v));
+    EXPECT_FALSE(links.drops(3, tree->parent(v), v));
+  }
 }
 
 }  // namespace

@@ -369,10 +369,8 @@ TEST_P(LmsProperty, RecoversEveryLossOnRandomWorkloads) {
   });
   network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
                           net::NodeId to) {
-    if (pkt.type != net::PacketType::kData) return false;
-    if (tree.parent(to) != from) return false;
-    const auto& drops = links.drop_links(pkt.seq);
-    return std::binary_search(drops.begin(), drops.end(), to);
+    return pkt.type == net::PacketType::kData &&
+           links.drops(pkt.seq, from, to);
   });
   group.start_sessions(rng, cfg.srm.session_period);
   const sim::SimTime warmup = sim::SimTime::seconds(5);

@@ -3,6 +3,7 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <fstream>
 #include <sstream>
 #include <string>
 #include <utility>
@@ -14,6 +15,7 @@
 #include "trace/serialization.hpp"
 #include "trace/trace_generator.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace cesrm::trace {
 namespace {
@@ -87,6 +89,66 @@ TEST(LossTrace, MeanBurstLength) {
   // Receiver 0: bursts of 3 and 1 → 2 bursts, 4 losses.
   for (net::SeqNo i : {1, 2, 3, 7}) t.set_lost(0, i);
   EXPECT_DOUBLE_EQ(t.mean_burst_length(), 2.0);
+}
+
+/// A star of `receivers` leaves under the root: 0(1 2 … receivers).
+std::shared_ptr<const net::MulticastTree> star(int receivers) {
+  std::string text = "0(1";
+  for (int r = 2; r <= receivers; ++r) {
+    text += ' ';
+    text += std::to_string(r);
+  }
+  text += ')';
+  return std::make_shared<net::MulticastTree>(net::parse_tree(text));
+}
+
+TEST(LossTrace, AgreesWithAPerCellReference) {
+  // Random sets and clears against one bool per (receiver, packet) cell,
+  // at one receiver, and at one short of and exactly the 32-bit pattern.
+  for (const int receivers : {1, 31, 32}) {
+    SCOPED_TRACE("receivers " + std::to_string(receivers));
+    const auto nr = static_cast<std::size_t>(receivers);
+    const net::SeqNo packets = 300;
+    LossTrace t("REF", star(receivers), sim::SimTime::millis(40), packets);
+    ASSERT_EQ(t.receiver_count(), nr);
+    std::vector<std::vector<bool>> ref(nr, std::vector<bool>(packets, false));
+    util::Rng rng(static_cast<std::uint64_t>(receivers));
+    for (int op = 0; op < 20000; ++op) {
+      const auto r = static_cast<std::size_t>(
+          rng.uniform_int(0, static_cast<std::int64_t>(nr) - 1));
+      const net::SeqNo i = rng.uniform_int(0, packets - 1);
+      const bool lost = rng.bernoulli(0.6);
+      t.set_lost(r, i, lost);
+      ref[r][static_cast<std::size_t>(i)] = lost;
+    }
+    std::uint64_t total = 0, bursts = 0;
+    for (std::size_t r = 0; r < nr; ++r) {
+      std::uint64_t mine = 0;
+      for (net::SeqNo i = 0; i < packets; ++i) {
+        const bool cell = ref[r][static_cast<std::size_t>(i)];
+        ASSERT_EQ(t.lost(r, i), cell) << "receiver " << r << " seq " << i;
+        mine += cell;
+        bursts += cell && (i == 0 || !ref[r][static_cast<std::size_t>(i - 1)]);
+      }
+      EXPECT_EQ(t.receiver_losses(r), mine) << "receiver " << r;
+      total += mine;
+    }
+    for (net::SeqNo i = 0; i < packets; ++i) {
+      LossPattern p = 0;
+      for (std::size_t r = 0; r < nr; ++r)
+        if (ref[r][static_cast<std::size_t>(i)]) p |= LossPattern{1} << r;
+      ASSERT_EQ(t.pattern(i), p) << "seq " << i;
+    }
+    EXPECT_EQ(t.total_losses(), total);
+    ASSERT_GT(bursts, 0u);
+    EXPECT_DOUBLE_EQ(t.mean_burst_length(),
+                     static_cast<double>(total) / static_cast<double>(bursts));
+  }
+}
+
+TEST(LossTrace, RejectsMoreReceiversThanPatternBits) {
+  EXPECT_THROW(LossTrace("WIDE", star(33), sim::SimTime::millis(40), 10),
+               util::CheckError);
 }
 
 TEST(LossTrace, RejectsOutOfRange) {
@@ -447,8 +509,10 @@ TEST(Serialization, RoundTripWithTruth) {
   EXPECT_TRUE(loaded.has_truth());
   for (net::SeqNo i = 0; i < 2000; ++i) {
     ASSERT_EQ(loaded.loss->pattern(i), gen.loss->pattern(i)) << "seq " << i;
-    ASSERT_EQ(loaded.true_drop_links[static_cast<std::size_t>(i)],
-              gen.true_drop_links[static_cast<std::size_t>(i)]);
+    ASSERT_TRUE(std::ranges::equal(
+        loaded.true_drop_links[static_cast<std::size_t>(i)],
+        gen.true_drop_links[static_cast<std::size_t>(i)]))
+        << "seq " << i;
   }
 }
 
@@ -491,6 +555,74 @@ TEST(Serialization, RejectsCorruptInput) {
   }
 }
 
+/// A 4-packet trace on 0(1(3 4) 2(5)) (receivers: nodes 3, 4, 5) whose
+/// receivers lose packets {1, 2, 3}, {1} and {3}, with `lines` before end.
+std::string small_file(const std::string& lines,
+                       const std::string& loss =
+                           "loss 0 1x0 3x1\nloss 1 1x0 1x1 2x0\n"
+                           "loss 2 3x0 1x1\n") {
+  return "# cesrm-trace v1\nname S\nperiod_ms 40\npackets 4\n"
+         "tree 0(1(3 4) 2(5))\n" +
+         loss + lines + "end\n";
+}
+
+TraceFile read_text(const std::string& text) {
+  std::stringstream ss(text);
+  return read_trace(ss);
+}
+
+TEST(Serialization, ReadsTruthLinesInAnySeqOrder) {
+  const TraceFile file =
+      read_text(small_file("truth 3 2 3\ntruth 1 1\ntruth 2 3\n"));
+  const DropLinkTable& truth = file.true_drop_links;
+  ASSERT_EQ(truth.size(), 4u);
+  EXPECT_TRUE(truth[0].empty());
+  EXPECT_TRUE(std::ranges::equal(truth[1], std::vector<net::LinkId>{1}));
+  EXPECT_TRUE(std::ranges::equal(truth[2], std::vector<net::LinkId>{3}));
+  // A line's links keep their order.
+  EXPECT_TRUE(std::ranges::equal(truth[3], std::vector<net::LinkId>{2, 3}));
+  std::stringstream out;
+  write_trace(out, *file.loss, &truth);
+  EXPECT_NE(out.str().find("truth 1 1\ntruth 2 3\ntruth 3 2 3\nend\n"),
+            std::string::npos);
+}
+
+TEST(Serialization, RejectsTruthLinksOutsideTheTree) {
+  // The tree has nodes 0-5; node 0 is the root, which has no link.
+  for (const char* link : {"999999", "6", "0", "-1", "99999999999"}) {
+    SCOPED_TRACE(link);
+    EXPECT_THROW(read_text(small_file("truth 1 1\ntruth 2 " +
+                                      std::string(link) + "\n")),
+                 util::CheckError);
+  }
+  EXPECT_NO_THROW(read_text(small_file("truth 2 5\n")));
+}
+
+TEST(Serialization, RejectsASecondLossLineForOneReceiver) {
+  // Three loss lines for three receivers, but receiver 0's twice and
+  // receiver 1's not at all.
+  EXPECT_THROW(read_text(small_file("", "loss 0 1x0 3x1\nloss 0 4x0\n"
+                                        "loss 2 3x0 1x1\n")),
+               util::CheckError);
+}
+
+TEST(Serialization, RejectsASecondTruthLineForOnePacket) {
+  EXPECT_THROW(read_text(small_file("truth 1 1\ntruth 1 3\n")),
+               util::CheckError);
+}
+
+TEST(Serialization, RejectsRunLengthsPastThePacketCount) {
+  // Runs whose sum overflows a 64-bit count, and one run too long.
+  EXPECT_THROW(read_text(small_file(
+                   "", "loss 0 1x0 3x1\nloss 1 1x0 1x1 2x0\n"
+                       "loss 2 9223372036854775807x0 "
+                       "9223372036854775807x0\n")),
+               util::CheckError);
+  EXPECT_THROW(read_text(small_file("", "loss 0 1x0 3x1\nloss 1 5x1\n"
+                                        "loss 2 3x0 1x1\n")),
+               util::CheckError);
+}
+
 TEST(Serialization, FileRoundTrip) {
   LossTrace t("FILE", small_tree(), sim::SimTime::millis(80), 20);
   t.set_lost(1, 7);
@@ -499,6 +631,67 @@ TEST(Serialization, FileRoundTrip) {
   const TraceFile loaded = load_trace(path);
   EXPECT_EQ(loaded.loss->name(), "FILE");
   EXPECT_TRUE(loaded.loss->lost(1, 7));
+}
+
+// --------------------------------------------------------- trace corpus ----
+//
+// tests/corpus/trace/UCB960424-cap2000.trace is `cesrm_cli generate
+// --trace=3 --packets-cap=2000` as written before traces were stored as
+// loss patterns: the file format and every generated trace must not move.
+
+constexpr const char* kCorpusTrace = "UCB960424-cap2000.trace";
+
+std::string corpus_bytes(const std::string& name) {
+  std::ifstream in(std::string(CESRM_CORPUS_DIR) + "/" + name);
+  EXPECT_TRUE(in.good()) << "cannot open corpus file " << name;
+  std::stringstream ss;
+  ss << in.rdbuf();
+  return ss.str();
+}
+
+TEST(TraceCorpus, GeneratedTraceWritesTheCommittedBytes) {
+  // cesrm_cli generate's --packets-cap scaling.
+  TraceSpec spec = table1_spec(3);
+  const net::SeqNo cap = 2000;
+  spec.losses = static_cast<std::int64_t>(static_cast<double>(spec.losses) *
+                                          static_cast<double>(cap) /
+                                          static_cast<double>(spec.packets));
+  spec.packets = cap;
+  const auto gen = generate_trace(spec);
+  std::stringstream out;
+  write_trace(out, *gen.loss, &gen.true_drop_links);
+  EXPECT_EQ(out.str(), corpus_bytes(kCorpusTrace));
+}
+
+TEST(TraceCorpus, ReadWriteRoundTripsTheCommittedBytes) {
+  const std::string bytes = corpus_bytes(kCorpusTrace);
+  const TraceFile file = read_text(bytes);
+  ASSERT_TRUE(file.has_truth());
+  EXPECT_EQ(file.true_drop_links.size(), 2000u);
+  std::stringstream out;
+  write_trace(out, *file.loss, &file.true_drop_links);
+  EXPECT_EQ(out.str(), bytes);
+}
+
+// -------------------------------------------------------- DropLinkTable ----
+
+TEST(DropLinkTable, ClosesPacketsInSeqOrder) {
+  DropLinkTable table;
+  EXPECT_TRUE(table.empty());
+  table.end_packet();  // packet 0: none
+  table.add_link(4);
+  table.add_link(2);
+  table.end_packet();  // packet 1: 4, 2
+  table.end_packet();  // packet 2: none
+  table.add_link(7);
+  table.end_packet();  // packet 3: 7
+  ASSERT_EQ(table.size(), 4u);
+  EXPECT_FALSE(table.empty());
+  EXPECT_TRUE(table[0].empty());
+  EXPECT_TRUE(std::ranges::equal(table[1], std::vector<net::LinkId>{4, 2}));
+  EXPECT_TRUE(table.at(2).empty());
+  EXPECT_TRUE(std::ranges::equal(table.at(3), std::vector<net::LinkId>{7}));
+  EXPECT_THROW(table.at(4), util::CheckError);
 }
 
 }  // namespace
