@@ -26,13 +26,18 @@ class Agent {
   /// Invoked at the packet's arrival time at this member's node.
   virtual void on_packet(const Packet& pkt) = 0;
   /// Raw-datagram ingress for real-network transports: decode one wire
-  /// frame and dispatch it through on_packet(), counting rejects. The
-  /// base class cannot decode (net does not depend on the wire codec), so
-  /// the default drops everything; SrmAgent overrides with the hardened
-  /// codec ingress. Returns true when the frame was accepted.
+  /// frame and hand it to on_wire_packet(), counting rejects. The base
+  /// class cannot decode (net does not depend on the wire codec), so the
+  /// default drops everything; SrmAgent overrides with the hardened codec
+  /// ingress. Returns true when the frame was accepted.
   virtual bool on_wire(std::span<const std::uint8_t> /*bytes*/) {
     return false;
   }
+  /// Ingress for a wire frame a real-network transport has already
+  /// decoded (and annotated, as Network::arrive does): dispatches it
+  /// through on_packet(). SrmAgent overrides to count it as decoded wire
+  /// input first; its on_wire() ends here too.
+  virtual void on_wire_packet(const Packet& pkt) { on_packet(pkt); }
 };
 
 class Transport {

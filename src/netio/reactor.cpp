@@ -54,8 +54,9 @@ void Reactor::run_until(sim::SimTime deadline) {
     const sim::SimTime now = clock_.now();
     sim_.run_until(std::min(now, deadline));
     if (now >= deadline) break;
-    // Sleep until the earlier of: next queued event, the deadline. A
-    // readable socket interrupts the sleep either way.
+    // Sleep until the earlier of: next queued event, the deadline (at
+    // millisecond resolution, rounded up). A readable socket interrupts
+    // the sleep either way.
     const sim::SimTime next = std::min(sim_.next_event_time(), deadline);
     poll_fds(next > now ? next - now : sim::SimTime::zero());
   }

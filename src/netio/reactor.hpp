@@ -5,7 +5,12 @@
 // every queued event whose time has come (run_until(wall now) — this is
 // where Timer expirations and shim-delayed deliveries fire), then sleeps
 // in epoll_wait until either a socket turns readable or the next queued
-// event falls due. The protocol agents are oblivious: they arm the same
+// event falls due. epoll_wait counts whole milliseconds, and the wait is
+// rounded up to them, so unless a datagram wakes the loop first an event
+// runs up to ~1 ms after its time. Events that fell due meanwhile then run
+// back to back: ChainedSource schedules each send from the previous
+// send's scheduled time, so a late wake-up sends the overdue packets in a
+// burst. The protocol agents are oblivious: they arm the same
 // sim::Timer objects and read the same sim.now() they do in simulation —
 // the only difference is who advances the clock. Registered fd handlers
 // run on the reactor's thread between simulator events, so agent state
@@ -54,7 +59,8 @@ class Reactor {
   bool stopped() const { return stop_.load(std::memory_order_relaxed); }
 
  private:
-  /// epoll_wait bounded by `max_wait`, then dispatch ready handlers.
+  /// epoll_wait bounded by `max_wait` rounded up to whole milliseconds
+  /// (and capped for stop() responsiveness), then dispatch ready handlers.
   void poll_fds(sim::SimTime max_wait);
 
   ClockSource& clock_;

@@ -42,8 +42,9 @@ LossShim::Verdict LossShim::crossing(const net::Packet& pkt,
                                      net::NodeId sender, net::NodeId receiver,
                                      sim::SimTime rx_time) const {
   Verdict v;
-  const std::vector<net::NodeId> path = tree_.path(sender, receiver);
-  const auto hops = static_cast<std::int64_t>(path.size()) - 1;
+  const net::NodeId meet = tree_.lca(sender, receiver);
+  const std::int64_t hops =
+      tree_.depth(sender) + tree_.depth(receiver) - 2 * tree_.depth(meet);
 
   const bool is_data = pkt.type == net::PacketType::kData;
   const bool is_session = pkt.type == net::PacketType::kSession;
@@ -52,25 +53,36 @@ LossShim::Verdict LossShim::crossing(const net::Packet& pkt,
       is_data ? 0
               : static_cast<std::uint64_t>(
                     rx_time.ns() / config_.control_salt_period.ns());
+  // The link's coin, keyed by the link's child endpoint.
+  const auto drops_on = [&](net::LinkId link) {
+    return lossy(link) &&
+           coin({config_.seed, is_data ? 1ULL : 2ULL,
+                 static_cast<std::uint64_t>(link),
+                 static_cast<std::uint64_t>(pkt.type),
+                 static_cast<std::uint64_t>(pkt.source),
+                 static_cast<std::uint64_t>(pkt.seq),
+                 static_cast<std::uint64_t>(pkt.sender), salt}) < rate;
+  };
 
   if (!is_session && rate > 0.0) {
-    for (std::int64_t i = 0; i < hops; ++i) {
-      const net::NodeId from = path[static_cast<std::size_t>(i)];
-      const net::NodeId to = path[static_cast<std::size_t>(i + 1)];
-      const bool downstream = tree_.parent(to) == from;
-      const net::LinkId link = downstream ? to : from;
-      if (!lossy(link)) continue;
-      if (is_data && !downstream) continue;  // data flows down the tree
-      if (coin({config_.seed, is_data ? 1ULL : 2ULL,
-                static_cast<std::uint64_t>(link),
-                static_cast<std::uint64_t>(pkt.type),
-                static_cast<std::uint64_t>(pkt.source),
-                static_cast<std::uint64_t>(pkt.seq),
-                static_cast<std::uint64_t>(pkt.sender), salt}) < rate) {
-        v.drop = true;
-        v.dropped_on = link;
-        return v;
-      }
+    // The path crosses links sender → lca upstream, then lca → receiver
+    // downstream, and the packet is lost on the first lossy link whose
+    // coin drops it. The downstream leg is walked up over parent links;
+    // each coin is a pure function of its link, so the topmost dropping
+    // link there is the first one in path order.
+    net::LinkId dropped_on = net::kInvalidNode;
+    if (!is_data) {  // data flows down the tree
+      for (net::NodeId u = sender; u != meet && dropped_on == net::kInvalidNode;
+           u = tree_.parent(u))
+        if (drops_on(u)) dropped_on = u;
+    }
+    if (dropped_on == net::kInvalidNode)
+      for (net::NodeId d = receiver; d != meet; d = tree_.parent(d))
+        if (drops_on(d)) dropped_on = d;
+    if (dropped_on != net::kInvalidNode) {
+      v.drop = true;
+      v.dropped_on = dropped_on;
+      return v;
     }
   }
 

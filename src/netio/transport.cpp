@@ -5,6 +5,7 @@
 #include <utility>
 
 #include "util/check.hpp"
+#include "wire/codec.hpp"
 
 namespace cesrm::netio {
 
@@ -68,17 +69,16 @@ void SocketTransport::attach(net::NodeId node, net::Agent* agent) {
 
 void SocketTransport::send_frame(const Endpoint& dest, const net::Packet& pkt,
                                  TxMode mode) {
-  const std::size_t frame_bytes =
-      encoder_.add(pkt);  // tallies per-type frame counts and wire bytes
-  const std::vector<std::uint8_t> frame = encoder_.take();
+  tx_frame_.clear();
+  wire::encode_packet(pkt, &tx_frame_);
   const auto type_idx = static_cast<std::size_t>(pkt.type);
   switch (mode) {
     case TxMode::kMulticast: ++crossings_.multicast[type_idx]; break;
     case TxMode::kUnicast: ++crossings_.unicast[type_idx]; break;
     case TxMode::kSubcast: ++crossings_.subcast[type_idx]; break;
   }
-  crossings_.wire_bytes[type_idx] += frame_bytes;
-  if (ucast_sock_.send_to(dest, frame))
+  crossings_.wire_bytes[type_idx] += tx_frame_.size();
+  if (ucast_sock_.send_to(dest, tx_frame_))
     ++stats_.datagrams_sent;
   else
     ++stats_.send_failures;
@@ -124,7 +124,6 @@ void SocketTransport::drain(UdpSocket& sock, bool from_group) {
   std::array<std::uint8_t, kMaxDatagram> buf;
   while (const auto n = sock.recv_from(buf)) {
     ++stats_.datagrams_received;
-    stats_.bytes_received += *n;
     handle_datagram(std::span<const std::uint8_t>(buf.data(), *n),
                     from_group);
   }
@@ -133,6 +132,13 @@ void SocketTransport::drain(UdpSocket& sock, bool from_group) {
 void SocketTransport::handle_datagram(std::span<const std::uint8_t> bytes,
                                       bool from_group) {
   if (!agent_) return;
+  // Network::multicast's "sender does not receive its own packet". Every
+  // frame the decoder accepts passes the peek, so a decoded frame on the
+  // group socket never names this member as its sender.
+  if (from_group && wire::peek_sender(bytes) == self_) {
+    ++stats_.self_filtered;
+    return;
+  }
   net::Packet pkt;
   if (wire::decode_packet_exact(bytes, &pkt)) {
     // Malformed: let the agent's hardened ingress count and drop it with
@@ -147,10 +153,6 @@ void SocketTransport::handle_datagram(std::span<const std::uint8_t> bytes,
     ++stats_.out_of_tree;
     return;
   }
-  if (from_group && pkt.sender == self_) {
-    ++stats_.self_filtered;
-    return;
-  }
   const sim::SimTime now = reactor_.clock().now();
   const LossShim::Verdict verdict =
       shim_.crossing(pkt, pkt.sender, self_, now);
@@ -159,21 +161,17 @@ void SocketTransport::handle_datagram(std::span<const std::uint8_t> bytes,
     ++crossings_.dropped[static_cast<std::size_t>(pkt.type)];
     return;
   }
-  std::vector<std::uint8_t> frame(bytes.begin(), bytes.end());
   if (from_group && (pkt.type == net::PacketType::kReply ||
                      pkt.type == net::PacketType::kExpReply)) {
     // Router-assist parity with Network::arrive: multicast reply arrivals
     // carry this recipient's turning-point router (§3.3).
     pkt.ann.turning_point = tree_.lca(pkt.sender, self_);
-    frame = wire::encode_packet(pkt);
   }
   ++stats_.delivered;
   net::Agent* agent = agent_;
   reactor_.sim().schedule_at(
       std::max(now + verdict.delay, reactor_.sim().now()),
-      [agent, frame = std::move(frame)] {
-        agent->on_wire(frame);
-      });
+      [agent, pkt = std::move(pkt)] { agent->on_wire_packet(pkt); });
 }
 
 }  // namespace cesrm::netio

@@ -19,19 +19,25 @@
 //    inside the subtree receives its own copy — the self-filter applies
 //    only to group traffic.
 //
-// Ingress parity with the simulator, in order:
-//  1. decode (wire::decode_packet_exact). Malformed datagrams are handed
+// Ingress parity with the simulator, in order. A delivered frame is
+// decoded exactly once; the agent receives the decoded packet.
+//  1. self-filter (group socket only): wire::peek_sender reads the sender
+//     field of a datagram whose fixed header is one whole v1 frame; when
+//     it names this member, the datagram is its own multicast looped back
+//     and is dropped undecoded. A datagram that fails the peek goes on;
+//  2. decode (wire::decode_packet_exact). Malformed datagrams are handed
 //     to SrmAgent::on_wire untouched so the hardened-ingress counters and
 //     trace events fire exactly as they would for an in-memory frame;
 //     well-formed frames naming a node outside this member's tree are
 //     counted and dropped — the simulator never produces them;
-//  2. self-filter (group socket only);
 //  3. LossShim verdict over the sender→receiver tree path: drop, or
-//     delay = path delay + jitter, scheduled onto the reactor's simulator
-//     so sim::Timer-based suppression sees network-shaped arrival times;
+//     delay = path delay + jitter;
 //  4. turning-point annotation: multicast reply arrivals carry
-//     lca(sender, receiver), re-encoded into the delivered frame —
-//     the router-assist annotation Network::arrive applies (§3.3).
+//     lca(sender, receiver), set on the decoded packet — the
+//     router-assist annotation Network::arrive applies (§3.3);
+//  5. the packet is scheduled onto the reactor's simulator at its delay,
+//     so sim::Timer-based suppression sees network-shaped arrival times,
+//     and reaches the agent through net::Agent::on_wire_packet.
 //
 // Threading: a SocketTransport is confined to its agent's reactor thread
 // (TX happens inside agent callbacks, RX inside the reactor's fd
@@ -47,7 +53,6 @@
 #include "netio/reactor.hpp"
 #include "netio/shim.hpp"
 #include "netio/socket.hpp"
-#include "wire/codec.hpp"
 
 namespace cesrm::netio {
 
@@ -73,7 +78,8 @@ struct SocketStats {
   /// exactly like congestion loss on a real path — the protocol recovers.
   std::uint64_t send_failures = 0;
   std::uint64_t datagrams_received = 0;
-  std::uint64_t bytes_received = 0;
+  /// This member's own multicast, looped back to its group socket and
+  /// dropped before decoding.
   std::uint64_t self_filtered = 0;
   /// Malformed datagrams (still forwarded to the agent's hardened ingress,
   /// where they are counted per DecodeErrorKind and dropped).
@@ -112,13 +118,11 @@ class SocketTransport final : public net::Transport {
 
   net::NodeId self() const { return self_; }
   const SocketStats& stats() const { return stats_; }
-  /// Egress codec with exact per-PacketType frame/byte tallies.
-  const wire::Encoder& encoder() const { return encoder_; }
   /// Datagram accounting in the simulator's CrossingStats shape so the
   /// existing reports apply. Unit difference: the simulator counts link
   /// crossings, a socket backend counts datagrams (multicast = 1 per
-  /// send, not one per tree edge); `dropped` counts this member's shim
-  /// RX drops.
+  /// send, not one per tree edge); `wire_bytes` counts encoded egress
+  /// frame bytes; `dropped` counts this member's shim RX drops.
   const net::CrossingStats& crossings() const { return crossings_; }
 
  private:
@@ -136,7 +140,7 @@ class SocketTransport final : public net::Transport {
   net::Agent* agent_ = nullptr;
   UdpSocket mcast_sock_;  ///< group RX
   UdpSocket ucast_sock_;  ///< unicast RX/TX + multicast egress
-  wire::Encoder encoder_;
+  std::vector<std::uint8_t> tx_frame_;  ///< egress encoding, reused per send
   SocketStats stats_;
   net::CrossingStats crossings_;
 };

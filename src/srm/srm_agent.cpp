@@ -323,9 +323,13 @@ bool SrmAgent::on_wire(std::span<const std::uint8_t> bytes) {
                 static_cast<int>(err->kind));
     return false;
   }
+  on_wire_packet(pkt);
+  return true;
+}
+
+void SrmAgent::on_wire_packet(const net::Packet& pkt) {
   ++stats_.wire_packets_decoded;
   on_packet(pkt);
-  return true;
 }
 
 // ---------------------------------------------------------------------------

@@ -114,7 +114,8 @@ struct HostStats {
   /// named a seq more than kSeqWindow above the highest seq this member
   /// knew (srm/config.hpp). They never reach protocol state.
   std::uint64_t seq_beyond_window = 0;
-  /// Wire frames accepted by on_wire() and dispatched into the protocol.
+  /// Wire frames accepted by on_wire() or delivered decoded through
+  /// on_wire_packet(), and dispatched into the protocol.
   std::uint64_t wire_packets_decoded = 0;
   /// Wire frames rejected by on_wire(), by decode-error kind. Malformed
   /// input is dropped at ingress — it never reaches protocol state.
@@ -219,13 +220,16 @@ class SrmAgent : public net::Agent {
   void on_packet(const net::Packet& pkt) override;
 
   /// Hardened wire-format ingress: decodes exactly one frame from `bytes`
-  /// and dispatches it through on_packet(). Malformed input of any kind —
+  /// and hands it to on_wire_packet(). Malformed input of any kind —
   /// truncation, bad magic/version, out-of-range fields, trailing bytes —
   /// is counted in HostStats::wire_decode_errors, reported as an
   /// obs::EventKind::kDecodeError trace event (detail = the error kind),
   /// and dropped without touching any protocol state. Returns true when
   /// the frame was accepted.
   bool on_wire(std::span<const std::uint8_t> bytes) override;
+  /// An accepted wire frame, decoded by on_wire() or by the transport:
+  /// counted in HostStats::wire_packets_decoded, then on_packet().
+  void on_wire_packet(const net::Packet& pkt) override;
 
   net::NodeId node() const { return self_; }
   net::NodeId primary_source() const { return primary_source_; }

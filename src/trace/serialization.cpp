@@ -152,6 +152,27 @@ TraceFile read_trace(std::istream& is) {
                                         << ridx << ": " << pos);
   }
   if (!truth_lines.empty()) {
+    const LossTrace& loss = *out.loss;
+    // The receivers below each link, as a loss pattern. A truth line
+    // explains its packet when the receivers below its links are exactly
+    // the receivers whose loss lines lost the packet.
+    std::vector<LossPattern> below(tree->size(), 0);
+    for (std::size_t r = 0; r < loss.receiver_count(); ++r)
+      for (net::NodeId v = loss.receiver_node(r); v != net::kInvalidNode;
+           v = tree->parent(v))
+        below[static_cast<std::size_t>(v)] |= LossPattern{1} << r;
+    const auto nodes = [&loss](LossPattern pattern) {
+      std::ostringstream os;
+      const char* sep = "";
+      os << '{';
+      for (std::size_t r = 0; r < loss.receiver_count(); ++r)
+        if ((pattern >> r) & 1u) {
+          os << sep << loss.receiver_node(r);
+          sep = " ";
+        }
+      os << '}';
+      return os.str();
+    };
     std::sort(truth_lines.begin(), truth_lines.end(),
               [](const auto& a, const auto& b) { return a.first < b.first; });
     std::size_t total = 0;
@@ -160,12 +181,23 @@ TraceFile read_trace(std::istream& is) {
       CESRM_CHECK_MSG(seq < packets, "truth seq " << seq << " past the trace");
       CESRM_CHECK_MSG(k == 0 || truth_lines[k - 1].first != seq,
                       "second truth line for seq " << seq);
-      // is_ancestor and the link tables index by link: only the tree's
-      // links (every node but the root) are valid.
-      for (const std::int64_t l : links)
+      LossPattern explained = 0;
+      for (const std::int64_t l : links) {
+        // is_ancestor and the link tables index by link: only the tree's
+        // links (every node but the root) are valid.
         CESRM_CHECK_MSG(l >= 0 && static_cast<std::size_t>(l) < tree->size() &&
                             !tree->is_root(static_cast<net::NodeId>(l)),
                         "truth link " << l << " is not a link of the tree");
+        explained |= below[static_cast<std::size_t>(l)];
+      }
+      const LossPattern lost = loss.pattern(seq);
+      CESRM_CHECK_MSG(lost != 0, "truth line for packet "
+                                     << seq << ", which no receiver lost");
+      CESRM_CHECK_MSG(explained == lost,
+                      "truth links of packet "
+                          << seq << " drop it at receivers " << nodes(explained)
+                          << ", but the loss lines lose it at "
+                          << nodes(lost));
       total += links.size();
     }
     out.true_drop_links.reserve(static_cast<std::size_t>(packets), total);
@@ -175,6 +207,10 @@ TraceFile read_trace(std::istream& is) {
         for (const std::int64_t l : line->second)
           out.true_drop_links.add_link(static_cast<net::LinkId>(l));
         ++line;
+      } else {
+        CESRM_CHECK_MSG(loss.pattern(i) == 0,
+                        "lossy packet " << i << " has no truth line (lost at "
+                                        << nodes(loss.pattern(i)) << ")");
       }
       out.true_drop_links.end_packet();
     }

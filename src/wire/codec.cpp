@@ -405,6 +405,19 @@ std::optional<DecodeError> decode_packet_exact(
   return std::nullopt;
 }
 
+std::optional<net::NodeId> peek_sender(std::span<const std::uint8_t> datagram) {
+  const auto le = [datagram](std::size_t offset, int bytes) {
+    std::uint32_t v = 0;
+    for (int i = 0; i < bytes; ++i)
+      v |= static_cast<std::uint32_t>(datagram[offset + i]) << (8 * i);
+    return v;
+  };
+  if (datagram.size() < kHeaderSize || le(0, 2) != kMagic ||
+      datagram[2] != kVersion || le(4, 4) != datagram.size())
+    return std::nullopt;
+  return static_cast<net::NodeId>(le(20, 4));
+}
+
 bool Decoder::next(net::Packet* out) {
   if (error_ || pos_ >= buf_.size()) return false;
   std::size_t consumed = 0;

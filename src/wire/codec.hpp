@@ -63,6 +63,14 @@ std::optional<DecodeError> decode_packet(std::span<const std::uint8_t> bytes,
 std::optional<DecodeError> decode_packet_exact(
     std::span<const std::uint8_t> bytes, net::Packet* out);
 
+/// The sender field (offset 20) of a datagram whose fixed header is that
+/// of one whole v1 frame: at least kHeaderSize bytes, kMagic, kVersion
+/// and a frame_len equal to the datagram's size. Nothing past the header
+/// is read, so a datagram that passes may still fail decode_packet_exact;
+/// every datagram that function accepts passes, with the sender it
+/// decodes. nullopt for any other datagram.
+std::optional<net::NodeId> peek_sender(std::span<const std::uint8_t> datagram);
+
 /// Streaming encoder with exact per-PDU byte accounting: every add() is
 /// tallied per PacketType, so callers can report where the wire bytes go.
 class Encoder {

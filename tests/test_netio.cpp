@@ -301,6 +301,98 @@ TEST(NetioShim, RejectsNonLinksAsLossy) {
   EXPECT_THROW(LossShim(tree, cfg), util::CheckError);
 }
 
+/// The verdict rebuilt hop by hop from tree.path(): a packet is lost on
+/// the first hop, in path order, that crosses a link whose coin drops it
+/// (DATA only on downstream hops), and otherwise arrives after hops ×
+/// link_delay plus the receiver's jitter (what a zero-hop crossing adds).
+/// A link's coin does not depend on the direction of the crossing, so
+/// each hop reads it from the one-hop downstream crossing of its link.
+LossShim::Verdict path_reference(const LossShim& shim,
+                                 const net::MulticastTree& tree,
+                                 const net::Packet& pkt, net::NodeId sender,
+                                 net::NodeId receiver, SimTime at,
+                                 int* dropping_hops) {
+  const std::vector<net::NodeId> path = tree.path(sender, receiver);
+  LossShim::Verdict first;
+  *dropping_hops = 0;
+  for (std::size_t i = 0; i + 1 < path.size(); ++i) {
+    const bool downstream = tree.parent(path[i + 1]) == path[i];
+    const net::LinkId link = downstream ? path[i + 1] : path[i];
+    if (pkt.type == net::PacketType::kData && !downstream) continue;
+    const LossShim::Verdict hop =
+        shim.crossing(pkt, tree.parent(link), link, at);
+    if (hop.drop && (*dropping_hops)++ == 0) first = hop;
+  }
+  if (first.drop) return first;
+  first.delay = shim.config().link_delay *
+                    static_cast<std::int64_t>(path.size() - 1) +
+                shim.crossing(pkt, receiver, receiver, at).delay;
+  return first;
+}
+
+/// A chain 0 → 1 → … → depth, with a side leaf every 16 levels.
+std::string chain_text(int depth) {
+  std::string text;
+  int side_leaf = depth + 1;
+  for (int v = 0; v < depth; ++v) {
+    text += std::to_string(v) + "(";
+    if (v % 16 == 8) text += std::to_string(side_leaf++) + " ";
+  }
+  return text + std::to_string(depth) + std::string(depth, ')');
+}
+
+TEST(NetioShim, VerdictsMatchTheTreePathReference) {
+  int verdicts = 0, first_of_several = 0;
+  for (const std::string& text :
+       {std::string("0(1(3 4) 2(5 6))"),
+        std::string("0(1(2(3 4(5 6)) 7) 8(9 10(11)))"), chain_text(70)}) {
+    SCOPED_TRACE(text.substr(0, 40));
+    const net::MulticastTree tree = net::parse_tree(text);
+    ShimConfig cfg;
+    cfg.seed = 23;
+    cfg.data_loss = 0.2;
+    cfg.control_loss = 0.2;
+    cfg.jitter = SimTime::millis(3);
+    cfg.control_salt_period = SimTime::millis(10);
+    for (const bool every_link : {true, false}) {
+      cfg.lossy_links.clear();
+      if (!every_link)  // every third link
+        for (net::NodeId v = 1; static_cast<std::size_t>(v) < tree.size();
+             v += 3)
+          cfg.lossy_links.push_back(v);
+      const LossShim shim(tree, cfg);
+      const auto session = std::make_shared<net::SessionPayload>();
+      const auto n = static_cast<net::NodeId>(tree.size());
+      for (net::NodeId s = 0; s < n; ++s)
+        for (net::NodeId r = 0; r < n; ++r)
+          for (net::SeqNo seq = 0; seq < 2; ++seq) {
+            net::RecoveryAnnotation ann;
+            ann.requestor = r;
+            ann.replier = s;
+            const SimTime at = SimTime::millis(7 * seq + s);
+            for (const net::Packet& pkt :
+                 {net::make_data_packet(s, seq),
+                  net::make_request_packet(s, 0, seq, 0.01),
+                  net::make_reply_packet(s, 0, seq, ann),
+                  net::make_session_packet(s, 0, session)}) {
+              int dropping_hops = 0;
+              const LossShim::Verdict want =
+                  path_reference(shim, tree, pkt, s, r, at, &dropping_hops);
+              const LossShim::Verdict got = shim.crossing(pkt, s, r, at);
+              ASSERT_EQ(got.drop, want.drop) << s << " -> " << r;
+              ASSERT_EQ(got.dropped_on, want.dropped_on) << s << " -> " << r;
+              ASSERT_EQ(got.delay, want.delay) << s << " -> " << r;
+              ++verdicts;
+              first_of_several += dropping_hops > 1 ? 1 : 0;
+            }
+          }
+    }
+  }
+  // The order matters on many paths: several hops would drop the packet,
+  // and the verdict must name the first.
+  EXPECT_GT(first_of_several, verdicts / 20);
+}
+
 // --------------------------------------- wire corpus over the socket ----
 
 std::vector<std::uint8_t> parse_hex_file(const std::filesystem::path& path) {
@@ -373,15 +465,34 @@ struct LiveMember {
   /// Sends `bytes` to the member's unicast socket and polls until the
   /// transport has seen it (or a generous timeout trips).
   void deliver(const std::vector<std::uint8_t>& bytes, UdpSocket& tx) {
+    deliver_to(transport->unicast_endpoint(), bytes, tx);
+  }
+
+  /// The same through the group, to the member's group socket; `tx` must
+  /// have loopback multicast egress (group_sender()).
+  void deliver_to_group(const std::vector<std::uint8_t>& bytes,
+                        UdpSocket& tx) {
+    deliver_to(Endpoint{plan.mcast_addr, plan.mcast_port}, bytes, tx);
+  }
+
+  void deliver_to(const Endpoint& to, const std::vector<std::uint8_t>& bytes,
+                  UdpSocket& tx) {
     const std::uint64_t before = transport->stats().datagrams_received;
-    ASSERT_TRUE(tx.send_to(transport->unicast_endpoint(), bytes));
+    ASSERT_TRUE(tx.send_to(to, bytes));
     for (int i = 0; i < 2000; ++i) {
       reactor.poll_once(SimTime::millis(5));
       if (transport->stats().datagrams_received > before) return;
     }
-    FAIL() << "datagram never arrived on the unicast socket";
+    FAIL() << "datagram never arrived at " << endpoint_to_string(to);
   }
 };
+
+/// A plain socket whose datagrams to the group loop back on this host.
+UdpSocket group_sender() {
+  UdpSocket tx;
+  tx.set_multicast_egress(kLoopbackAddr, /*loop=*/true);
+  return tx;
+}
 
 TEST(NetioWireCorpus, SocketReplayMatchesInMemoryVerdicts) {
   const std::filesystem::path dir = CESRM_CORPUS_DIR;
@@ -558,6 +669,185 @@ TEST(NetioWireCorpus, SeqsBeyondTheWindowAreDroppedAndCounted) {
   if (::testing::Test::HasFatalFailure()) return;
   EXPECT_EQ(agent.stats().losses_detected, 1u);
   EXPECT_EQ(agent.outstanding_losses(), 1u);
+}
+
+TEST(NetioWireCorpus, GroupSocketReplayMatchesInMemoryVerdicts) {
+  std::vector<std::filesystem::path> files;
+  for (const auto& entry :
+       std::filesystem::directory_iterator(CESRM_CORPUS_DIR))
+    if (entry.path().extension() == ".hex") files.push_back(entry.path());
+  std::sort(files.begin(), files.end());
+  ASSERT_FALSE(files.empty());
+
+  LiveMember member(47567);
+  UdpSocket tx = group_sender();
+  const auto& stats = member.agent->stats();
+  std::size_t ok_frames = 0, bad_frames = 0;
+  for (const auto& path : files) {
+    SCOPED_TRACE(path.filename().string());
+    const std::vector<std::uint8_t> bytes = parse_hex_file(path);
+    // No corpus frame names the member as its sender, so none is
+    // self-filtered: every one reaches a verdict.
+    ASSERT_NE(wire::peek_sender(bytes), member.transport->self());
+    net::Packet reference;
+    const auto want_err = wire::decode_packet_exact(bytes, &reference);
+
+    const std::uint64_t decoded_before = stats.wire_packets_decoded;
+    auto want_errors = stats.wire_decode_errors;
+    const auto verdicts = [&stats] {
+      return stats.wire_packets_decoded + stats.wire_decode_errors_total();
+    };
+    const std::uint64_t verdicts_before = verdicts();
+    member.deliver_to_group(bytes, tx);
+    if (::testing::Test::HasFatalFailure()) return;
+    // Accepted frames surface after the shim's path delay.
+    for (int i = 0; i < 2000 && verdicts() == verdicts_before; ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+
+    if (!want_err) {
+      ++ok_frames;
+      EXPECT_EQ(stats.wire_packets_decoded, decoded_before + 1);
+    } else {
+      ++bad_frames;
+      EXPECT_EQ(stats.wire_packets_decoded, decoded_before);
+      ++want_errors[static_cast<std::size_t>(want_err->kind)];
+    }
+    EXPECT_EQ(stats.wire_decode_errors, want_errors)
+        << "the in-memory decoder's kind: "
+        << (want_err ? wire::decode_error_name(want_err->kind) : "none");
+  }
+  EXPECT_GE(ok_frames, 6u);
+  EXPECT_GE(bad_frames, 6u);
+  EXPECT_EQ(member.transport->stats().decode_failed, bad_frames);
+  EXPECT_EQ(member.transport->stats().out_of_tree, 0u);
+}
+
+TEST(NetioGroupIngress, OwnMulticastIsFilteredBeforeDecoding) {
+  LiveMember member(47568);
+  const net::NodeId self = member.transport->self();
+  const SocketStats& stats = member.transport->stats();
+  net::RecoveryAnnotation ann;
+  ann.requestor = 2;
+  ann.dist_requestor_source = 0.01;
+  ann.replier = self;
+  ann.dist_replier_requestor = 0.01;
+  const std::vector<net::Packet> own = {
+      net::make_request_packet(self, 0, 3, 0.01),
+      net::make_reply_packet(self, 0, 3, ann),
+      net::make_session_packet(self, 0,
+                               std::make_shared<net::SessionPayload>())};
+  for (const net::Packet& pkt : own) {
+    const std::uint64_t before = stats.datagrams_received;
+    member.transport->multicast(self, pkt);  // loops back to the group socket
+    for (int i = 0; i < 2000 && stats.datagrams_received == before; ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+    ASSERT_EQ(stats.datagrams_received, before + 1);
+  }
+  // Give a wrongly scheduled delivery time to surface: none may.
+  for (int i = 0; i < 10; ++i) member.reactor.poll_once(SimTime::millis(5));
+  EXPECT_EQ(stats.self_filtered, own.size());
+  EXPECT_EQ(stats.decode_failed, 0u);
+  EXPECT_EQ(stats.delivered, 0u);
+  EXPECT_EQ(member.agent->stats().wire_packets_decoded, 0u);
+  EXPECT_EQ(member.agent->stats().wire_decode_errors_total(), 0u);
+}
+
+TEST(NetioGroupIngress, DatagramsFailingThePeekAreDecodedAndCountedByKind) {
+  LiveMember member(47569);
+  UdpSocket tx = group_sender();
+  const net::NodeId self = member.transport->self();
+  const SocketStats& stats = member.transport->stats();
+  const auto& errors = member.agent->stats().wire_decode_errors;
+  // Each names this member as its sender; only the peek's header checks
+  // tell it from the member's own multicast.
+  const std::vector<std::uint8_t> own =
+      wire::encode_packet(net::make_request_packet(self, 0, 3, 0.01));
+  ASSERT_EQ(wire::peek_sender(own), self);
+  using Kind = wire::DecodeErrorKind;
+  struct Case {
+    const char* what;
+    std::vector<std::uint8_t> bytes;
+    Kind kind;
+  };
+  std::vector<Case> cases = {
+      {"shorter than the header",
+       {own.begin(), own.begin() + wire::kHeaderSize - 1}, Kind::kTruncated},
+      {"bad magic", own, Kind::kBadMagic},
+      {"bad version", own, Kind::kBadVersion},
+      {"frame_len below the size", own, Kind::kTrailingGarbage},
+      {"frame_len above the size", own, Kind::kTruncated}};
+  cases[1].bytes[0] ^= 0x01;
+  cases[2].bytes[2] = wire::kVersion + 1;
+  cases[3].bytes.push_back(0);
+  ++cases[4].bytes[4];
+  auto want = errors;
+  for (const Case& c : cases) {
+    SCOPED_TRACE(c.what);
+    ASSERT_FALSE(wire::peek_sender(c.bytes).has_value());
+    member.deliver_to_group(c.bytes, tx);
+    if (::testing::Test::HasFatalFailure()) return;
+    ++want[static_cast<std::size_t>(c.kind)];
+    EXPECT_EQ(errors, want);  // counted synchronously at ingress
+  }
+  EXPECT_EQ(stats.self_filtered, 0u);
+  EXPECT_EQ(stats.decode_failed, cases.size());
+
+  // The intact frame passes the peek and is filtered as the member's own.
+  member.deliver_to_group(own, tx);
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(stats.self_filtered, 1u);
+  EXPECT_EQ(errors, want);
+}
+
+TEST(NetioGroupIngress, MulticastRepliesReachCesrmCarryingTheTurningPoint) {
+  LiveMember member(47570, "0(1(2 3) 4)", /*self=*/2, /*cesrm=*/true);
+  auto& agent = static_cast<::cesrm::cesrm::CesrmAgent&>(*member.agent);
+  UdpSocket ucast_tx;
+  UdpSocket group_tx = group_sender();
+  const auto push = [&](const net::Packet& pkt, bool via_group) {
+    const std::uint64_t decoded = agent.stats().wire_packets_decoded + 1;
+    if (via_group)
+      member.deliver_to_group(wire::encode_packet(pkt), group_tx);
+    else
+      member.deliver(wire::encode_packet(pkt), ucast_tx);
+    for (int i = 0; i < 2000 && agent.stats().wire_packets_decoded < decoded;
+         ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+    ASSERT_EQ(agent.stats().wire_packets_decoded, decoded);
+  };
+  // Reveals the losses of 0, 1 and 2 while the cache is empty, so no
+  // expedited request goes out.
+  push(net::make_data_packet(0, 3), /*via_group=*/true);
+  if (::testing::Test::HasFatalFailure()) return;
+  ASSERT_EQ(agent.outstanding_losses(), 3u);
+
+  net::RecoveryAnnotation ann;  // the frames carry no turning point
+  ann.requestor = 2;
+  ann.dist_requestor_source = 0.002;
+  ann.dist_replier_requestor = 0.001;
+  struct Reply {
+    net::NodeId replier;
+    net::SeqNo seq;
+    bool via_group;
+    net::NodeId turning_point;
+  };
+  for (const Reply& r : {Reply{3, 0, true, member.tree.lca(3, 2)},
+                         Reply{4, 1, true, member.tree.lca(4, 2)},
+                         // A unicast arrival keeps the frame's annotation.
+                         Reply{3, 2, false, net::kInvalidNode}}) {
+    SCOPED_TRACE(r.seq);
+    ann.replier = r.replier;
+    push(net::make_reply_packet(r.replier, 0, r.seq, ann), r.via_group);
+    if (::testing::Test::HasFatalFailure()) return;
+    EXPECT_TRUE(agent.has_packet(r.seq));
+    ASSERT_TRUE(agent.cache().most_recent().has_value());
+    EXPECT_EQ(agent.cache().most_recent()->seq, r.seq);
+    EXPECT_EQ(agent.cache().most_recent()->turning_point, r.turning_point);
+  }
+  EXPECT_EQ(member.tree.lca(3, 2), 1);  // the router above 2 and 3
+  EXPECT_EQ(member.tree.lca(4, 2), 0);
+  EXPECT_EQ(agent.outstanding_losses(), 0u);
+  EXPECT_EQ(agent.stats().exp_requests_sent, 0u);
 }
 
 // ------------------------------------------------- loopback full runs ----

@@ -595,7 +595,68 @@ TEST(Serialization, RejectsTruthLinksOutsideTheTree) {
                                       std::string(link) + "\n")),
                  util::CheckError);
   }
-  EXPECT_NO_THROW(read_text(small_file("truth 2 5\n")));
+  // Leaf link 5, the tree's highest id, is a link: packet 3 is lost below
+  // links 3 and 5.
+  EXPECT_NO_THROW(
+      read_text(small_file("truth 1 1\ntruth 2 3\ntruth 3 3 5\n")));
+}
+
+TEST(Serialization, RejectsTruthThatDoesNotExplainTheLosses) {
+  // small_file loses packet 1 at nodes 3 and 4, 2 at 3, and 3 at 3 and 5.
+  EXPECT_NO_THROW(
+      read_text(small_file("truth 1 1\ntruth 2 3\ntruth 3 2 3\n")));
+  for (const char* truth : {
+           // A wrong link: link 4 loses packet 2 at node 4, which has it.
+           "truth 1 1\ntruth 2 4\ntruth 3 2 3\n",
+           // A link too high: link 1 loses packet 2 at node 4 as well.
+           "truth 1 1\ntruth 2 1\ntruth 3 2 3\n",
+           // Too few links: packet 3 is lost at node 5 too.
+           "truth 1 1\ntruth 2 3\ntruth 3 3\n",
+           // A missing line: lossy packet 2 has none.
+           "truth 1 1\ntruth 3 2 3\n",
+           // A line on a loss-free packet, with or without links.
+           "truth 0 2\ntruth 1 1\ntruth 2 3\ntruth 3 2 3\n",
+           "truth 0\ntruth 1 1\ntruth 2 3\ntruth 3 2 3\n",
+       }) {
+    SCOPED_TRACE(truth);
+    EXPECT_THROW(read_text(small_file(truth)), util::CheckError);
+  }
+  try {
+    read_text(small_file("truth 1 1\ntruth 2 1\ntruth 3 2 3\n"));
+    FAIL() << "a truth line that does not explain its packet should throw";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("packet 2"), std::string::npos)
+        << e.what();
+  }
+
+  // A generated file with every truth link rewritten to link 1 loads no
+  // more: link 1 explains only the packets lost exactly below it.
+  TraceSpec spec;
+  spec.name = "REWRITE";
+  spec.receivers = 5;
+  spec.depth = 3;
+  spec.period_ms = 40;
+  spec.packets = 200;
+  spec.losses = 60;
+  spec.seed = 4;
+  const auto gen = generate_trace(spec);
+  std::stringstream written;
+  write_trace(written, *gen.loss, &gen.true_drop_links);
+  std::string rewritten, line;
+  while (std::getline(written, line)) {
+    if (line.starts_with("truth "))
+      line = line.substr(0, line.find(' ', 6)) + " 1";
+    rewritten += line + "\n";
+  }
+  EXPECT_NO_THROW(read_text(written.str()));
+  try {
+    read_text(rewritten);
+    FAIL() << "truth links rewritten to link 1 should throw";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("truth links of packet"),
+              std::string::npos)
+        << e.what();
+  }
 }
 
 TEST(Serialization, RejectsASecondLossLineForOneReceiver) {

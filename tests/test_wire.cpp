@@ -306,6 +306,44 @@ TEST(WireDecode, InflatedFrameLenIsTrailingGarbageInsideFrame) {
   EXPECT_EQ(err->kind, DecodeErrorKind::kTrailingGarbage);
 }
 
+TEST(WirePeek, EveryFrameTheDecoderAcceptsPassesWithItsSender) {
+  // netio's self-filter relies on this: a frame that would decode can
+  // never slip past the peek.
+  util::Rng rng(0x9EEC);
+  std::uint64_t accepted = 0;
+  for (int iter = 0; iter < 20000; ++iter) {
+    const Packet p = random_packet(rng);
+    Bytes buf = encode_packet(p);
+    ASSERT_EQ(peek_sender(buf), p.sender);
+    // One header-area mutation; whatever still decodes must still peek.
+    const auto i = static_cast<std::size_t>(rng.uniform_int(0, 31));
+    buf[i] ^= static_cast<std::uint8_t>(1 << rng.uniform_int(0, 7));
+    Packet out;
+    if (!decode_packet_exact(buf, &out)) {
+      ++accepted;
+      ASSERT_EQ(peek_sender(buf), out.sender) << "iteration " << iter;
+    }
+  }
+  EXPECT_GT(accepted, 0u);
+}
+
+TEST(WirePeek, RejectsAnythingButOneWholeFrameHeader) {
+  const Bytes frame = encode_packet(net::make_request_packet(3, 0, 1, 0.1));
+  ASSERT_EQ(peek_sender(frame), 3);
+  const Bytes shorter(frame.begin(), frame.begin() + kHeaderSize - 1);
+  Bytes bad_magic = frame;
+  bad_magic[1] ^= 0x40;
+  Bytes bad_version = frame;
+  bad_version[2] = kVersion + 1;
+  Bytes longer = frame;
+  longer.push_back(0);
+  Bytes inflated = frame;
+  ++inflated[4];
+  for (const Bytes& b : {shorter, bad_magic, bad_version, longer, inflated})
+    EXPECT_FALSE(peek_sender(b).has_value());
+  EXPECT_FALSE(peek_sender(Bytes{}).has_value());
+}
+
 // ------------------------------------------------------------- encoder ----
 
 TEST(WireEncoder, PerTypeAccountingIsExact) {
