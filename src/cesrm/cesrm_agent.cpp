@@ -199,7 +199,6 @@ void CesrmAgent::on_reply_observed(const net::Packet& pkt) {
 }
 
 void CesrmAgent::on_exp_request(const net::Packet& pkt) {
-  CESRM_CHECK(pkt.dest == node());
   // The request tells us the packet exists even if we never saw it.
   if (!originates(pkt.source)) note_new_sequence(pkt.source, pkt.seq);
 

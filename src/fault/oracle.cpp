@@ -47,7 +47,7 @@ void InvariantOracle::check_stalls() const {
     CESRM_CHECK_MSG(agent->stalled_losses() == 0,
                     "liveness: node " << nodes_[i] << " has "
                                       << agent->stalled_losses()
-                                      << " stalled losses (no armed request"
+                                      << " stalled losses (no armed recovery"
                                          " timer) at t=" << sim_.now());
   }
 }

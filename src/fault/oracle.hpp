@@ -4,11 +4,12 @@
 // checkable invariants over one simulation:
 //
 //  * liveness — recovery of every outstanding loss at a live member keeps
-//    making progress. The SRM state machine maintains exactly one armed
-//    request timer per outstanding loss, so "some want has no armed
-//    timer" (SrmAgent::stalled_losses) is an exact, cheap stall detector;
-//    a periodic watchdog checks it throughout the run, catching stalls
-//    even though session timers keep the event queue non-empty forever;
+//    making progress. Each protocol keeps exactly one armed recovery timer
+//    per outstanding loss (SRM and CESRM the request timer, LMS the retry
+//    timer), so "some want has no armed timer" (SrmAgent::stalled_losses)
+//    is an exact, cheap stall detector; a periodic watchdog checks it
+//    throughout the run, catching stalls even though session timers keep
+//    the event queue non-empty forever;
 //  * safety (crash isolation) — no timer callback ever runs on a crashed
 //    member (HostStats::zombie_timer_fires stays zero);
 //  * eventual delivery — at the end of the run every live member holds

@@ -7,6 +7,7 @@
 #include "fault/fault_scheduler.hpp"
 #include "fault/oracle.hpp"
 #include "infer/link_estimator.hpp"
+#include "lms/directory.hpp"
 #include "util/check.hpp"
 #include "util/logging.hpp"
 
@@ -130,7 +131,6 @@ ExperimentResult run_experiment_impl(
   if (config.observe.enabled()) {
     recorder.emplace(config.observe);
     sim.set_recorder(&*recorder);
-    if (config.observe.profile) sim.enable_profiling(true);
   }
 
   net::Network network(sim, tree, config.network);
@@ -150,9 +150,15 @@ ExperimentResult run_experiment_impl(
     cesrm_cfg.cache.side_info = &*side_info;
   }
 
+  // LMS's router replier state, shared by every member of an LMS run;
+  // declared before the agents so it outlives them.
+  std::optional<lms::LmsDirectory> directory;
+  if (config.protocol == Protocol::kLms)
+    directory.emplace(sim, tree, kLmsRepairDelay);
+
   Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
     return make_agent(config.protocol, sim, network, node, source, cesrm_cfg,
-                      agent_rng);
+                      directory ? &*directory : nullptr, agent_rng);
   });
 
   // --- durable recovery state --------------------------------------------
@@ -177,14 +183,18 @@ ExperimentResult run_experiment_impl(
       faults->add_member(group.node(i), &group.agent(i));
       oracle->add_member(group.node(i), &group.agent(i));
     }
-    if (durable_mgr) {
-      durable::Manager* mgr = &*durable_mgr;
-      faults->set_crash_hooks(
-          [mgr](net::NodeId, srm::SrmAgent& agent) { mgr->on_crash(agent); },
-          [mgr](net::NodeId, srm::SrmAgent& agent) {
-            mgr->before_recover(agent);
-          });
-    }
+    // A crash reaches the durable store (drop the unflushed window, clear
+    // volatile state) and LMS's routers (stale until repaired).
+    durable::Manager* mgr = durable_mgr ? &*durable_mgr : nullptr;
+    lms::LmsDirectory* dir = directory ? &*directory : nullptr;
+    faults->set_crash_hooks(
+        [mgr, dir](net::NodeId node, srm::SrmAgent& agent) {
+          if (mgr) mgr->on_crash(agent);
+          if (dir) dir->fail_member(node);
+        },
+        [mgr](net::NodeId, srm::SrmAgent& agent) {
+          if (mgr) mgr->before_recover(agent);
+        });
   }
 
   // --- loss injection ---------------------------------------------------
@@ -265,7 +275,6 @@ ExperimentResult run_experiment_impl(
       result.events = std::make_shared<const std::vector<obs::TraceEvent>>(
           recorder->take_events());
     if (config.observe.stream) result.sketch = recorder->take_sketch();
-    if (config.observe.profile) result.wall_profile = sim.wall_per_sim_second();
     if (config.observe.metrics) {
       obs::MetricsRegistry reg;
       for (std::size_t k = 0; k < obs::kEventKindCount; ++k) {

@@ -1,12 +1,12 @@
 // experiment.hpp — trace-driven protocol experiments (§4.3).
 //
 // run_experiment() reenacts one IP multicast transmission: it builds the
-// trace's tree and network, attaches an SRM or CESRM agent at the source
-// and at every receiver (a harness::Group), lets the members exchange
-// session messages for a warm-up period (so distance estimates converge
-// before data flows, as in the paper), then transmits the packets at the
-// trace's period while the
-// network drops each data packet on exactly the links the link trace
+// trace's tree and network, attaches an SRM, CESRM or LMS agent at the
+// source and at every receiver (a harness::Group; an LMS run also owns the
+// routers' replier directory), lets the members exchange session messages
+// for a warm-up period (so distance estimates converge before data flows,
+// as in the paper), then transmits the packets at the trace's period while
+// the network drops each data packet on exactly the links the link trace
 // representation names. Recovery traffic is lossless by default; the
 // lossy-recovery mode drops it randomly according to the per-link loss
 // estimates (the paper's robustness remark in §4.3).
@@ -31,6 +31,10 @@
 #include "trace/loss_trace.hpp"
 
 namespace cesrm::harness {
+
+/// How long LMS's routers keep naming a crashed replier before they
+/// re-designate (lms::LmsDirectory's repair delay in every LMS run).
+inline constexpr sim::SimTime kLmsRepairDelay = sim::SimTime::seconds(10);
 
 struct ExperimentConfig {
   Protocol protocol = Protocol::kCesrm;
@@ -86,9 +90,6 @@ struct ExperimentResult {
   /// latency/wait histograms and heavy-hitter links folded during the run
   /// in O(buckets) space, independent of event count. Null otherwise.
   std::shared_ptr<const obs::StreamingSketch> sketch;
-  /// Wall seconds spent per completed sim-second (only when
-  /// config.observe.profile). Wall-clock — never exported to artifacts.
-  std::vector<double> wall_profile;
 
   const MemberResult& source() const { return members.front(); }
   /// Receivers only — a zero-copy view over members[1..] (members are

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <utility>
 
+#include "lms/lms_agent.hpp"
 #include "util/check.hpp"
 
 namespace cesrm::harness {
@@ -13,10 +14,17 @@ std::unique_ptr<srm::SrmAgent> make_agent(Protocol protocol,
                                           net::NodeId node,
                                           net::NodeId source,
                                           const cesrm::CesrmConfig& config,
+                                          lms::LmsDirectory* directory,
                                           util::Rng rng) {
   if (protocol == Protocol::kCesrm)
     return std::make_unique<cesrm::CesrmAgent>(sim, transport, node, source,
                                                config, rng);
+  if (protocol == Protocol::kLms) {
+    CESRM_CHECK_MSG(directory != nullptr,
+                    "an LMS member needs the run's router directory");
+    return std::make_unique<lms::LmsAgent>(sim, transport, node, source,
+                                           config.srm, *directory, rng);
+  }
   return std::make_unique<srm::SrmAgent>(sim, transport, node, source,
                                          config.srm, rng);
 }

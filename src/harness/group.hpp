@@ -31,6 +31,7 @@
 #include <vector>
 
 #include "cesrm/cesrm_agent.hpp"
+#include "lms/directory.hpp"
 #include "net/topology.hpp"
 #include "net/transport.hpp"
 #include "protocol.hpp"
@@ -57,13 +58,16 @@ using AgentFactory =
     std::function<std::unique_ptr<srm::SrmAgent>(net::NodeId node,
                                                  util::Rng rng)>;
 
-/// An SrmAgent (config.srm) or a CesrmAgent (config) for `protocol`.
+/// An SrmAgent (config.srm), a CesrmAgent (config) or an LmsAgent
+/// (config.srm, over the run's router `directory`) for `protocol`. LMS
+/// needs a directory; the other protocols ignore it.
 std::unique_ptr<srm::SrmAgent> make_agent(Protocol protocol,
                                           sim::Simulator& sim,
                                           net::Transport& transport,
                                           net::NodeId node,
                                           net::NodeId source,
                                           const cesrm::CesrmConfig& config,
+                                          lms::LmsDirectory* directory,
                                           util::Rng rng);
 
 class Group {

@@ -7,12 +7,18 @@
 
 namespace cesrm::lms {
 
+namespace {
+/// Base request-retry timeout, in units of the requestor→replier RTT.
+constexpr double kRetryRttMultiple = 2.0;
+/// Floor for the retry timeout (covers subcast fan-out and jitter).
+constexpr sim::SimTime kRetryFloor = sim::SimTime::millis(50);
+}  // namespace
+
 LmsAgent::LmsAgent(sim::Simulator& sim, net::Transport& network,
                    net::NodeId self, net::NodeId primary_source,
-                   const LmsConfig& config, LmsDirectory& directory,
+                   const srm::SrmConfig& config, LmsDirectory& directory,
                    util::Rng rng)
-    : SrmAgent(sim, network, self, primary_source, config.srm, rng),
-      lms_config_(config),
+    : SrmAgent(sim, network, self, primary_source, config, rng),
       directory_(directory) {}
 
 void LmsAgent::on_loss_detected(WantState& want) {
@@ -54,14 +60,17 @@ void LmsAgent::send_lms_request(net::NodeId source, net::SeqNo seq) {
   const double rtt =
       route ? 2.0 * distance_to(route->replier) : 0.1;
   sim::SimTime timeout = std::max(
-      lms_config_.retry_floor,
-      sim::SimTime::from_seconds(lms_config_.retry_rtt_multiple * rtt));
+      kRetryFloor, sim::SimTime::from_seconds(kRetryRttMultiple * rtt));
   timeout = timeout * std::ldexp(1.0, std::min(level, 8));
   want.exp_timer->arm(timeout);
 }
 
 void LmsAgent::on_packet_available(net::NodeId source, net::SeqNo seq) {
   escalation_.erase({source, seq});
+}
+
+bool LmsAgent::recovery_timer_armed(const WantState& want) const {
+  return want.exp_timer && want.exp_timer->armed();
 }
 
 void LmsAgent::retry_timer_fired(net::NodeId source, net::SeqNo seq) {
@@ -72,7 +81,6 @@ void LmsAgent::retry_timer_fired(net::NodeId source, net::SeqNo seq) {
 }
 
 void LmsAgent::on_exp_request(const net::Packet& pkt) {
-  CESRM_CHECK(pkt.dest == node());
   if (!originates(pkt.source)) note_new_sequence(pkt.source, pkt.seq);
   if (!has_packet(pkt.source, pkt.seq))
     return;  // shared loss: the requestor escalates after its timeout

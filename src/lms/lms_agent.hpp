@@ -32,35 +32,27 @@
 
 namespace cesrm::lms {
 
-struct LmsConfig {
-  srm::SrmConfig srm;  ///< substrate configuration (sessions, distances)
-  /// Base request-retry timeout in units of the requestor→replier RTT.
-  double retry_rtt_multiple = 2.0;
-  /// Floor for the retry timeout (covers subcast fan-out and jitter).
-  sim::SimTime retry_floor = sim::SimTime::millis(50);
-};
-
 class LmsAgent : public srm::SrmAgent {
  public:
   /// All members of one session share the `directory` (the routers'
-  /// replier state).
+  /// replier state); `config` configures the SRM substrate (sessions,
+  /// distances).
   LmsAgent(sim::Simulator& sim, net::Transport& network, net::NodeId self,
-           net::NodeId primary_source, const LmsConfig& config,
+           net::NodeId primary_source, const srm::SrmConfig& config,
            LmsDirectory& directory, util::Rng rng);
-
-  /// Total LMS request (re)transmissions (== exp_requests_sent stat).
-  std::uint64_t lms_requests() const { return stats().exp_requests_sent; }
 
  protected:
   void on_loss_detected(WantState& want) override;
   void on_exp_request(const net::Packet& pkt) override;
   void on_packet_available(net::NodeId source, net::SeqNo seq) override;
+  /// The retry timer drives an LMS recovery; the SRM request timer is
+  /// cancelled at detection.
+  bool recovery_timer_armed(const WantState& want) const override;
 
  private:
   void send_lms_request(net::NodeId source, net::SeqNo seq);
   void retry_timer_fired(net::NodeId source, net::SeqNo seq);
 
-  LmsConfig lms_config_;
   LmsDirectory& directory_;
   /// Escalation level per outstanding loss (keyed by (source, seq)).
   std::map<std::pair<net::NodeId, net::SeqNo>, int> escalation_;

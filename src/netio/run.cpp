@@ -50,6 +50,10 @@ void check_rate(double rate, const char* flag) {
 }  // namespace
 
 NetioRunResult run_netio(const NetioRunConfig& config) {
+  CESRM_CHECK_MSG(config.protocol != Protocol::kLms,
+                  "netio runs SRM or CESRM (valid: --protocol=srm|cesrm; "
+                  "LMS needs router replier state, which no socket backend "
+                  "provides)");
   CESRM_CHECK_MSG(config.packets > 0,
                   "netio run needs at least 1 data packet (valid: "
                   "--packets >= 1)");
@@ -99,7 +103,8 @@ NetioRunResult run_netio(const NetioRunConfig& config) {
   harness::Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
     Member& m = *member_at[static_cast<std::size_t>(node)];
     return harness::make_agent(config.protocol, m.reactor.sim(), m.transport,
-                               node, source, config.cesrm, agent_rng);
+                               node, source, config.cesrm,
+                               /*directory=*/nullptr, agent_rng);
   });
   group.start_sessions(rng, config.cesrm.srm.session_period);
 

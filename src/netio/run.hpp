@@ -89,9 +89,10 @@ struct NetioRunResult {
   }
 };
 
-/// Runs one loopback transmission. Throws util::CheckError on socket
-/// setup failures (port in use, multicast join refused, non-Linux build)
-/// — before any thread starts — and on invariant violations after.
+/// Runs one loopback transmission. Throws util::CheckError on an LMS
+/// config and bad inputs (before any socket is bound), on socket setup
+/// failures (port in use, multicast join refused, non-Linux build) —
+/// before any thread starts — and on invariant violations after.
 NetioRunResult run_netio(const NetioRunConfig& config);
 
 }  // namespace cesrm::netio

@@ -14,32 +14,41 @@
 
 namespace cesrm {
 
-/// Which protocol recovers losses for a member / an experiment.
-enum class Protocol { kSrm, kCesrm };
+/// Which protocol recovers losses for a member / an experiment. LMS, the
+/// router-assisted baseline of §3.3/§5, needs router replier state
+/// (lms::LmsDirectory), which only the simulated network provides.
+enum class Protocol { kSrm, kCesrm, kLms };
 
 /// Human-readable name, as used in tables, reports, and JSON output.
 constexpr const char* protocol_name(Protocol p) {
-  return p == Protocol::kSrm ? "SRM" : "CESRM";
+  switch (p) {
+    case Protocol::kSrm: return "SRM";
+    case Protocol::kCesrm: return "CESRM";
+    case Protocol::kLms: return "LMS";
+  }
+  return "?";
 }
 
 namespace detail {
-inline constexpr util::EnumNames<Protocol, 2> kProtocolNames{
-    "protocol", {{{Protocol::kSrm, "srm"}, {Protocol::kCesrm, "cesrm"}}}};
+inline constexpr util::EnumNames<Protocol, 3> kProtocolNames{
+    "protocol",
+    {{{Protocol::kSrm, "srm"}, {Protocol::kCesrm, "cesrm"},
+      {Protocol::kLms, "lms"}}}};
 }  // namespace detail
 
-/// The accepted CLI spellings ("srm", "cesrm"), comma-joined.
+/// The accepted CLI spellings ("srm", "cesrm", "lms"), comma-joined.
 inline const char* protocol_names() {
   static const std::string joined = detail::kProtocolNames.joined_names();
   return joined.c_str();
 }
 
-/// Parses "srm" / "cesrm"; nullopt otherwise.
+/// Parses "srm" / "cesrm" / "lms"; nullopt otherwise.
 inline std::optional<Protocol> try_parse_protocol(const std::string& name) {
   return detail::kProtocolNames.try_parse(name);
 }
 
-/// Parses "srm" / "cesrm"; throws util::CheckError listing the valid
-/// spellings otherwise.
+/// Parses "srm" / "cesrm" / "lms"; throws util::CheckError listing the
+/// valid spellings otherwise.
 inline Protocol parse_protocol(const std::string& name) {
   return detail::kProtocolNames.parse(name);
 }

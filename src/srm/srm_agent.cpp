@@ -253,7 +253,7 @@ std::size_t SrmAgent::stalled_losses() const {
   std::size_t n = 0;
   for (const auto& [source, s] : streams_)
     for (const auto& [seq, want] : s.want)
-      if (!want.request_timer.armed()) ++n;
+      if (!recovery_timer_armed(want)) ++n;
   return n;
 }
 
@@ -307,6 +307,10 @@ void SrmAgent::on_packet(const net::Packet& pkt) {
       handle_reply(pkt);
       break;
     case net::PacketType::kExpRequest:
+      if (pkt.dest != self_) {
+        ++stats_.exp_requests_misaddressed;
+        break;
+      }
       on_exp_request(pkt);
       break;
   }

@@ -114,6 +114,10 @@ struct HostStats {
   /// named a seq more than kSeqWindow above the highest seq this member
   /// knew (srm/config.hpp). They never reach protocol state.
   std::uint64_t seq_beyond_window = 0;
+  /// Expedited (unicast) requests dropped at dispatch because they name
+  /// another member as `dest`. The simulated network delivers a unicast
+  /// only to its destination; a live socket accepts any datagram.
+  std::uint64_t exp_requests_misaddressed = 0;
   /// Wire frames accepted by on_wire() or delivered decoded through
   /// on_wire_packet(), and dispatched into the protocol.
   std::uint64_t wire_packets_decoded = 0;
@@ -275,11 +279,11 @@ class SrmAgent : public net::Agent {
     return catch_up_queue_.size() - catch_up_next_;
   }
 
-  /// Outstanding losses whose request timer is not armed. The SRM request
-  /// state machine keeps exactly one armed request timer per outstanding
-  /// loss (it re-arms on every expiry), so a non-zero count means recovery
-  /// of those packets can never make progress again — the stall condition
-  /// the fault oracle's liveness watchdog checks for.
+  /// Outstanding losses on which no recovery timer is armed (see
+  /// recovery_timer_armed). Each protocol keeps exactly one armed timer
+  /// per outstanding loss (re-armed on every expiry), so a non-zero count
+  /// means recovery of those packets can never make progress again — the
+  /// stall condition the fault oracle's liveness watchdog checks for.
   std::size_t stalled_losses() const;
 
   /// Adaptive-timer controllers (null when adaptive_timers is off).
@@ -354,10 +358,17 @@ class SrmAgent : public net::Agent {
   /// Called for every received repair reply (normal or expedited), before
   /// generic processing. CESRM updates its requestor/replier cache here.
   virtual void on_reply_observed(const net::Packet& pkt);
-  /// Called when a unicast expedited request arrives (CESRM only).
+  /// Called when a unicast expedited request addressed to this member
+  /// arrives (CESRM and LMS).
   virtual void on_exp_request(const net::Packet& pkt);
   /// Called when packet (`source`, `seq`) becomes locally available.
   virtual void on_packet_available(net::NodeId source, net::SeqNo seq);
+  /// True when a timer will act on the outstanding loss `want`: for SRM
+  /// and CESRM its request timer (CESRM's expedited request runs beside
+  /// it, never instead of it).
+  virtual bool recovery_timer_armed(const WantState& want) const {
+    return want.request_timer.armed();
+  }
 
   // --- shared machinery the subclass reuses ---
   StreamState& stream(net::NodeId source);

@@ -1,5 +1,5 @@
 // Tests for the fault-injection subsystem: FaultPlan resolution and
-// validation, the shipped §3.3 scenarios under both protocols, the
+// validation, the shipped §3.3 scenarios under SRM, CESRM and LMS, the
 // crash-with-in-flight-timers regression, crash-at-boundary cases
 // (pending reply timers, cache churn under a warm durable restart,
 // back-to-back and overlapping crash clauses), the oracle's ability to
@@ -181,6 +181,12 @@ INSTANTIATE_TEST_SUITE_P(
     AllScenariosBothProtocols, ShippedScenario,
     ::testing::Combine(::testing::Range<std::size_t>(0, 6),
                        ::testing::Values(Protocol::kSrm, Protocol::kCesrm)));
+// LMS runs every scenario too: a crash also goes stale in its routers'
+// replier directory until the repair delay passes.
+INSTANTIATE_TEST_SUITE_P(
+    AllScenariosLms, ShippedScenario,
+    ::testing::Combine(::testing::Range<std::size_t>(0, 6),
+                       ::testing::Values(Protocol::kLms)));
 
 // --------------------------------------------- crash-specific regression ----
 
@@ -423,7 +429,8 @@ TEST_P(RandomFaultPlanProperty, OracleHoldsUnderRandomSurvivableFaults) {
 INSTANTIATE_TEST_SUITE_P(
     Seeds, RandomFaultPlanProperty,
     ::testing::Combine(::testing::Values(1, 2, 3, 4),
-                       ::testing::Values(Protocol::kSrm, Protocol::kCesrm)));
+                       ::testing::Values(Protocol::kSrm, Protocol::kCesrm,
+                                         Protocol::kLms)));
 
 // ------------------------------------------------- runner determinism -------
 

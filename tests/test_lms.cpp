@@ -96,7 +96,7 @@ struct LmsBench {
     ncfg.link_delay = SimTime::millis(10);
     tree = std::make_unique<net::MulticastTree>(small_tree());
     network = std::make_unique<net::Network>(sim, *tree, ncfg);
-    config.srm.oracle_distances = true;
+    config.oracle_distances = true;
     directory =
         std::make_unique<LmsDirectory>(sim, *tree, SimTime::seconds(10));
     for (NodeId n : std::vector<NodeId>{0, 3, 4, 5}) {
@@ -124,7 +124,7 @@ struct LmsBench {
   sim::Simulator sim;
   std::unique_ptr<net::MulticastTree> tree;
   std::unique_ptr<net::Network> network;
-  LmsConfig config;
+  srm::SrmConfig config;
   std::unique_ptr<LmsDirectory> directory;
   std::vector<std::unique_ptr<LmsAgent>> agents;
   std::set<std::pair<SeqNo, NodeId>> drops;
@@ -192,6 +192,26 @@ TEST(LmsAgent, CrashedReplierStallsRecoveryUntilRepair) {
   // than the healthy-path exchange (< 80 ms).
   EXPECT_GT(rec.latency_seconds(), 0.08);
   EXPECT_GE(b.at(4).stats().exp_requests_sent, 2u);
+}
+
+TEST(LmsAgent, OutstandingLossIsNotStalledWhileItsRetryIsArmed) {
+  // LMS cancels the SRM request timer at detection; the retry timer is
+  // what acts on the loss, so the fault oracle must not count it stalled.
+  LmsBench b;
+  b.drop(10, 4);
+  b.transmit(12);
+  b.sim.schedule_at(SimTime::millis(200), [&b] {
+    b.at(3).fail();
+    b.directory->fail_member(3);
+  });
+  // Packet 11 reveals the loss at 0.9 s; the request to the dead replier
+  // black-holes and the loss waits on its 80 ms retry timer.
+  b.sim.run_until(SimTime::millis(950));
+  ASSERT_EQ(b.at(4).outstanding_losses(), 1u);
+  EXPECT_EQ(b.at(4).stalled_losses(), 0u);
+  b.sim.run_until(SimTime::seconds(60));
+  EXPECT_EQ(b.at(4).outstanding_losses(), 0u);
+  EXPECT_TRUE(b.at(4).has_packet(0, 10));
 }
 
 TEST(LmsAgent, DirectoryRepairRestoresFastRecovery) {

@@ -626,6 +626,38 @@ TEST(NetioWireCorpus, RepliesNamingARouterAsReplierNeverReachTheCache) {
   EXPECT_EQ(agent.cache().most_recent()->replier, 4);
 }
 
+TEST(NetioWireCorpus, MisaddressedExpRequestLeavesTheMemberRunning) {
+  // A well-formed EXP-REQUEST naming member 3 as its destination, pushed
+  // at member 2's unicast socket: the agent drops and counts it and keeps
+  // running (a throw here would stop every reactor of a live group).
+  LiveMember member(47571, "0(1(2 3) 4)", /*self=*/2, /*cesrm=*/true);
+  srm::SrmAgent& agent = *member.agent;
+  UdpSocket tx;
+  const auto push = [&](const net::Packet& pkt) {
+    const std::uint64_t decoded = agent.stats().wire_packets_decoded + 1;
+    member.deliver(wire::encode_packet(pkt), tx);
+    for (int i = 0; i < 2000 && agent.stats().wire_packets_decoded < decoded;
+         ++i)
+      member.reactor.poll_once(SimTime::millis(5));
+    ASSERT_EQ(agent.stats().wire_packets_decoded, decoded);
+  };
+  push(net::make_data_packet(0, 0));
+  if (::testing::Test::HasFatalFailure()) return;
+  net::RecoveryAnnotation ann;
+  ann.requestor = 4;
+  ann.replier = 3;
+  ann.turning_point = 0;
+  push(net::make_exp_request_packet(4, /*dest=*/3, 0, 0, ann));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_EQ(agent.stats().exp_requests_misaddressed, 1u);
+  EXPECT_EQ(agent.stats().exp_replies_sent, 0u);
+  // The member runs on: the next DATA frame is received.
+  push(net::make_data_packet(0, 1));
+  if (::testing::Test::HasFatalFailure()) return;
+  EXPECT_TRUE(agent.has_packet(1));
+  EXPECT_EQ(agent.outstanding_losses(), 0u);
+}
+
 TEST(NetioWireCorpus, SeqsBeyondTheWindowAreDroppedAndCounted) {
   LiveMember member(47566);
   srm::SrmAgent& agent = *member.agent;
@@ -950,6 +982,16 @@ TEST(NetioRun, ValidatesConfigWithFriendlyErrors) {
   cfg.shim.data_loss = 0.0;
   cfg.tree_text = "0";
   EXPECT_THROW(run_netio(cfg), util::CheckError);
+  // LMS is refused before any socket is bound: its router replier state
+  // exists only in the simulated network.
+  cfg.tree_text.clear();
+  cfg.protocol = Protocol::kLms;
+  try {
+    run_netio(cfg);
+    FAIL() << "an LMS netio run should throw";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("--protocol"), std::string::npos);
+  }
 }
 
 }  // namespace

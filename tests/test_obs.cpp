@@ -251,7 +251,8 @@ TEST(Reconciliation, Table1RunBothProtocols) {
   const auto gen = trace::generate_trace(spec);
   const auto est = infer::estimate_links_yajnik(*gen.loss);
   const infer::LinkTraceRepresentation links(*gen.loss, est.loss_rate);
-  for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+  for (const Protocol protocol :
+       {Protocol::kSrm, Protocol::kCesrm, Protocol::kLms}) {
     const auto r = run_observed(*gen.loss, links, protocol);
     EXPECT_GT(r.total_losses_detected(), 0u) << protocol_name(protocol);
     expect_reconciles(r);
@@ -266,7 +267,8 @@ TEST(Reconciliation, CrashRunAccountsAbandonedLosses) {
   crash.at = SimTime::seconds(30);
   crash.recover_at = SimTime::seconds(90);
   plan.crashes.push_back(crash);
-  for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+  for (const Protocol protocol :
+       {Protocol::kSrm, Protocol::kCesrm, Protocol::kLms}) {
     const auto r = run_observed(*w.gen.loss, *w.links, protocol, plan);
     expect_reconciles(r);
   }
@@ -425,24 +427,6 @@ TEST(Stats, HistogramUnderOverflowTallied) {
   EXPECT_NE(json.find("\"underflow\":1"), std::string::npos);
   EXPECT_NE(json.find("\"overflow\":2"), std::string::npos);
   EXPECT_NE(json.find("\"buckets\":[1,0,1,0,2]"), std::string::npos);
-}
-
-// ----------------------------------------------------------- sim profiling --
-
-TEST(Profiling, WallPerSimSecondCoversTheRun) {
-  const auto& w = small_workload();
-  harness::ExperimentConfig cfg;
-  cfg.protocol = Protocol::kSrm;
-  cfg.seed = 11;
-  cfg.observe.profile = true;
-  const auto r = harness::run_experiment(*w.gen.loss, *w.links, cfg);
-  ASSERT_FALSE(r.wall_profile.empty());
-  EXPECT_LE(static_cast<double>(r.wall_profile.size()),
-            r.sim_end.to_seconds() + 1.0);
-  for (double s : r.wall_profile) EXPECT_GE(s, 0.0);
-  // Profiling alone captures neither events nor metrics.
-  EXPECT_EQ(r.events, nullptr);
-  EXPECT_TRUE(r.metrics.empty());
 }
 
 // -------------------------------------------------- causal phases (unit) ---
@@ -651,7 +635,8 @@ TEST(Causal, PhaseSumsExactOnFaultedTable1Run) {
   crash.at = SimTime::seconds(30);
   crash.recover_at = SimTime::seconds(90);
   plan.crashes.push_back(crash);
-  for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+  for (const Protocol protocol :
+       {Protocol::kSrm, Protocol::kCesrm, Protocol::kLms}) {
     const auto r = run_observed(*gen.loss, links, protocol, plan);
     EXPECT_GT(r.total_recovered(), 0u) << protocol_name(protocol);
     expect_phase_sums_exact(r);
@@ -660,7 +645,8 @@ TEST(Causal, PhaseSumsExactOnFaultedTable1Run) {
 
 TEST(Causal, PhaseSumsExactOnSmallWorkload) {
   const auto& w = small_workload();
-  for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
+  for (const Protocol protocol :
+       {Protocol::kSrm, Protocol::kCesrm, Protocol::kLms}) {
     const auto r = run_observed(*w.gen.loss, *w.links, protocol);
     expect_phase_sums_exact(r);
   }

@@ -8,12 +8,10 @@
 
 #include "net/network.hpp"
 #include "harness/experiment.hpp"
-#include "harness/group.hpp"
 #include "harness/reports.hpp"
 #include "infer/combination_solver.hpp"
 #include "infer/link_estimator.hpp"
 #include "infer/link_trace.hpp"
-#include "lms/lms_agent.hpp"
 #include "net/topology_builder.hpp"
 #include "trace/gilbert_elliott.hpp"
 #include "trace/trace_generator.hpp"
@@ -357,45 +355,26 @@ TEST_P(LmsProperty, RecoversEveryLossOnRandomWorkloads) {
   const auto est = infer::estimate_links_yajnik(*gen.loss);
   infer::LinkTraceRepresentation links(*gen.loss, est.loss_rate);
 
-  const auto& tree = gen.loss->tree();
-  sim::Simulator sim;
-  net::Network network(sim, tree, {});
-  lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
-  lms::LmsConfig cfg;
-  util::Rng rng(spec.seed);
-  harness::Group group(tree, rng, [&](net::NodeId node, util::Rng agent_rng) {
-    return std::make_unique<lms::LmsAgent>(sim, network, node, tree.root(),
-                                           cfg, directory, agent_rng);
-  });
-  network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
-                          net::NodeId to) {
-    return pkt.type == net::PacketType::kData &&
-           links.drops(pkt.seq, from, to);
-  });
-  group.start_sessions(rng, cfg.srm.session_period);
-  const sim::SimTime warmup = sim::SimTime::seconds(5);
-  harness::ChainedSource transmission(
-      sim, gen.loss->period(), spec.packets,
-      [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
-  transmission.start(warmup);
-  sim.run_until(warmup + gen.loss->period() * spec.packets +
-                sim::SimTime::seconds(60));
+  harness::ExperimentConfig cfg;
+  cfg.protocol = Protocol::kLms;
+  cfg.seed = spec.seed;
+  cfg.drain = sim::SimTime::seconds(60);
+  const auto r = harness::run_experiment(*gen.loss, links, cfg);
 
-  // Completeness: every member holds every packet; no SRM recovery
-  // traffic was ever multicast (LMS replaces it entirely).
+  // Completeness: every receiver recovered every loss it detected and,
+  // with the silent repairs, the losses add up to the trace's; no SRM
+  // recovery traffic was ever multicast (LMS replaces it entirely).
+  ASSERT_EQ(r.packets_sent, spec.packets);
   std::uint64_t losses_accounted = 0;
-  for (std::size_t m = 0; m < group.size(); ++m) {
-    srm::SrmAgent& agent = group.agent(m);
-    agent.stop_session();
-    if (agent.node() == tree.root()) continue;
-    EXPECT_EQ(agent.outstanding_losses(), 0u) << "node " << agent.node();
-    for (net::SeqNo i = 0; i < spec.packets; ++i)
-      ASSERT_TRUE(agent.has_packet(tree.root(), i))
-          << "node " << agent.node() << " seq " << i;
-    EXPECT_EQ(agent.stats().requests_sent, 0u);
-    EXPECT_EQ(agent.stats().replies_sent, 0u);
-    losses_accounted += agent.stats().losses_detected +
-                        agent.stats().repairs_before_detection;
+  for (const harness::MemberResult& m : r.receivers()) {
+    EXPECT_EQ(m.stats.recoveries.size(), m.stats.losses_detected)
+        << "node " << m.node;
+    for (const auto& rec : m.stats.recoveries)
+      EXPECT_TRUE(rec.recovered) << "node " << m.node << " seq " << rec.seq;
+    EXPECT_EQ(m.stats.requests_sent, 0u);
+    EXPECT_EQ(m.stats.replies_sent, 0u);
+    losses_accounted +=
+        m.stats.losses_detected + m.stats.repairs_before_detection;
   }
   EXPECT_EQ(losses_accounted, gen.loss->total_losses());
 }

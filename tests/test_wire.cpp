@@ -1,6 +1,7 @@
 // Tests for the wire-format codec (src/wire): canonical round-trips for
 // every PDU kind, the decode-error taxonomy (one test per kind, asserting
-// the obs counter increments and agent state stays untouched), the
+// the obs counter increments and agent state stays untouched), ingress
+// drops of misaddressed expedited requests and out-of-window seqs, the
 // streaming Decoder, byte-accurate Encoder accounting, the committed
 // regression corpus, and a structure-aware mutation fuzzer run as a plain
 // deterministic CTest (>= 100k iterations; CESRM_WIRE_FUZZ_ITERS scales it
@@ -16,6 +17,8 @@
 #include <string>
 #include <vector>
 
+#include "cesrm/cesrm_agent.hpp"
+#include "lms/lms_agent.hpp"
 #include "net/network.hpp"
 #include "net/topology_builder.hpp"
 #include "obs/trace_recorder.hpp"
@@ -537,6 +540,46 @@ TEST(WireIngress, ValidFrameDispatchesIntoTheProtocol) {
   EXPECT_TRUE(bench.receiver->on_wire(encode_packet(net::make_data_packet(0, 2))));
   EXPECT_EQ(bench.receiver->stats().losses_detected, 1u);
   EXPECT_EQ(bench.receiver->outstanding_losses(), 1u);
+}
+
+// ----------------------------------------- misaddressed expedited request --
+
+TEST(WireIngress, MisaddressedExpRequestIsDroppedAndCounted) {
+  // Member 2 of 0(1(2 3)) holds packet 0. A well-formed EXP-REQUEST for it
+  // that names member 3 as its destination is not 2's to answer: ingress
+  // drops and counts it, for CESRM and LMS alike. Addressed to 2, the same
+  // request is answered.
+  const net::MulticastTree tree = net::parse_tree("0(1(2 3))");
+  for (const bool lms_member : {false, true}) {
+    SCOPED_TRACE(lms_member ? "LMS" : "CESRM");
+    sim::Simulator sim;
+    net::Network network(sim, tree, net::NetworkConfig{});
+    lms::LmsDirectory directory(sim, tree, SimTime::seconds(10));
+    std::unique_ptr<srm::SrmAgent> member;
+    if (lms_member)
+      member = std::make_unique<lms::LmsAgent>(
+          sim, network, 2, 0, srm::SrmConfig{}, directory, util::Rng(1));
+    else
+      member = std::make_unique<::cesrm::cesrm::CesrmAgent>(
+          sim, network, 2, 0, ::cesrm::cesrm::CesrmConfig{}, util::Rng(1));
+    ASSERT_TRUE(member->on_wire(encode_packet(net::make_data_packet(0, 0))));
+
+    net::RecoveryAnnotation ann;
+    ann.requestor = 3;
+    ann.replier = 3;
+    ann.turning_point = 1;
+    EXPECT_TRUE(member->on_wire(encode_packet(
+        net::make_exp_request_packet(3, /*dest=*/3, 0, 0, ann))));
+    EXPECT_EQ(member->stats().exp_requests_misaddressed, 1u);
+    EXPECT_EQ(member->stats().exp_replies_sent, 0u);
+
+    ann.replier = 2;
+    EXPECT_TRUE(member->on_wire(encode_packet(
+        net::make_exp_request_packet(3, /*dest=*/2, 0, 0, ann))));
+    EXPECT_EQ(member->stats().exp_requests_misaddressed, 1u);
+    EXPECT_EQ(member->stats().exp_replies_sent, 1u);
+    EXPECT_EQ(member->stats().wire_packets_decoded, 3u);
+  }
 }
 
 // ------------------------------------------- sequence window at ingress ---

@@ -65,9 +65,10 @@
 //       seeded losses injected at the sockets, and the post-run
 //       InvariantOracle verdict (any unrecovered loss fails the run).
 //       Prints the same recovery summary as 'simulate'; --trace-out and
-//       --json apply. Refuses the confidence and oracle cache policies:
-//       a live group has no loss trace to back their side info.
-//       Linux-only (epoll).
+//       --json apply. Refuses --protocol=lms (no socket backend holds
+//       LMS's router replier state) and the confidence and oracle cache
+//       policies (a live group has no loss trace to back their side
+//       info). Linux-only (epoll).
 
 #include <algorithm>
 #include <fstream>
@@ -77,13 +78,11 @@
 
 #include "durable/store.hpp"
 #include "harness/experiment.hpp"
-#include "harness/group.hpp"
 #include "harness/reports.hpp"
 #include "harness/runner.hpp"
 #include "infer/link_estimator.hpp"
 #include "infer/link_trace.hpp"
 #include "infer/minc_estimator.hpp"
-#include "lms/lms_agent.hpp"
 #include "netio/run.hpp"
 #include "netio/socket.hpp"
 #include "obs/causal.hpp"
@@ -94,7 +93,6 @@
 #include "trace/trace_generator.hpp"
 #include "util/cli.hpp"
 #include "util/logging.hpp"
-#include "util/stats.hpp"
 #include "util/strings.hpp"
 #include "util/table.hpp"
 #include "wire/codec.hpp"
@@ -335,102 +333,31 @@ void maybe_write_json(const util::CliFlags& flags,
 int cmd_simulate(const util::CliFlags& flags) {
   const auto file = trace::load_trace(flags.get_string("in"));
   const auto est = infer::estimate_links_yajnik(*file.loss);
-  const auto links_ptr = std::make_shared<infer::LinkTraceRepresentation>(
+  const auto links = std::make_shared<infer::LinkTraceRepresentation>(
       *file.loss, est.loss_rate);
-  const infer::LinkTraceRepresentation& links = *links_ptr;
 
   const auto maybe_cfg = config_from_flags(flags);
   if (!maybe_cfg) return 1;
-  harness::ExperimentConfig cfg = *maybe_cfg;
   const std::string protocol = flags.get_string("protocol");
-  if (protocol == "lms") {
-    // LMS needs the shared router directory, so its group is built here
-    // with an LmsAgent factory rather than through run_experiment. It
-    // records no results or artifacts and keeps no durable state: refuse
-    // the flags asking for them rather than ignore them.
-    for (const char* name : {"json", "trace-out", "metrics-out"}) {
-      if (!flags.get_string(name).empty()) {
-        std::cerr << "simulate: --" << name
-                  << " is not supported with --protocol=lms\n";
-        return 1;
-      }
-    }
-    if (cfg.durable.mode != durable::DurableMode::kOff) {
-      std::cerr << "simulate: --durable is not supported with "
-                   "--protocol=lms (want off)\n";
-      return 1;
-    }
-    const auto& tree = file.loss->tree();
-    sim::Simulator sim;
-    net::Network network(sim, tree, cfg.network);
-    lms::LmsDirectory directory(sim, tree, sim::SimTime::seconds(10));
-    lms::LmsConfig lms_cfg;
-    lms_cfg.srm = cfg.cesrm.srm;
-    util::Rng rng(cfg.seed);
-    harness::Group group(tree, rng,
-                         [&](net::NodeId node, util::Rng agent_rng) {
-                           return std::make_unique<lms::LmsAgent>(
-                               sim, network, node, tree.root(), lms_cfg,
-                               directory, agent_rng);
-                         });
-    network.set_drop_fn([&](const net::Packet& pkt, net::NodeId from,
-                            net::NodeId to) {
-      return pkt.type == net::PacketType::kData &&
-             links.drops(pkt.seq, from, to);
-    });
-    group.start_sessions(rng, lms_cfg.srm.session_period);
-    const sim::SimTime warmup = sim::SimTime::seconds(5);
-    const net::SeqNo packets = file.loss->packet_count();
-    harness::ChainedSource transmission(
-        sim, file.loss->period(), packets,
-        [&group](net::SeqNo seq) { group.source_agent().send_data(seq); });
-    transmission.start(warmup);
-    sim.run_until(warmup + file.loss->period() * packets +
-                  sim::SimTime::seconds(60));
-    util::OnlineStats latency;
-    std::uint64_t unrecovered = 0, lms_requests = 0, lms_replies = 0;
-    for (const harness::MemberResult& m : group.collect()) {
-      lms_requests += m.stats.exp_requests_sent;
-      lms_replies += m.stats.exp_replies_sent;
-      if (m.is_source) continue;
-      for (const auto& r : m.stats.recoveries) {
-        if (!r.recovered) {
-          ++unrecovered;
-          continue;
-        }
-        latency.add(r.latency_seconds() / m.rtt_to_source);
-      }
-    }
-    std::cout << "LMS on " << file.loss->name() << ":\n"
-              << "  mean normalized recovery time: "
-              << util::fmt_fixed(latency.mean(), 3) << " RTT\n"
-              << "  unrecovered " << util::fmt_count(unrecovered)
-              << ", directed requests " << util::fmt_count(lms_requests)
-              << ", subcast replies " << util::fmt_count(lms_replies)
-              << ", redesignations " << directory.redesignations() << "\n";
-    return 0;
-  }
-  Protocol proto;
-  if (const auto parsed = try_parse_protocol(protocol)) {
-    proto = *parsed;
-  } else {
+  const auto proto = try_parse_protocol(protocol);
+  if (!proto) {
     std::cerr << "simulate: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names() << ", lms)\n";
+              << "' (valid: " << protocol_names() << ")\n";
     return 1;
   }
 
   harness::ExperimentJob job;
   job.loss = file.loss;
-  job.links = links_ptr;
-  job.protocol = proto;
-  job.config = cfg;
+  job.links = links;
+  job.protocol = *proto;
+  job.config = *maybe_cfg;
   auto runner = runner_from_flags(flags);
   const auto outcomes = runner.run({std::move(job)});
   const auto& result = outcomes.front().result;
   maybe_write_json(flags, outcomes, file.loss->name());
   maybe_write_obs(flags, outcomes);
 
-  std::cout << protocol_name(proto) << " on " << file.loss->name()
+  std::cout << protocol_name(*proto) << " on " << file.loss->name()
             << ":\n"
             << "  mean normalized recovery time: "
             << util::fmt_fixed(result.mean_normalized_recovery_time(), 3)
@@ -536,8 +463,7 @@ int cmd_netio_run(const util::CliFlags& flags) {
     cfg.protocol = *parsed;
   } else {
     std::cerr << "netio-run: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names()
-              << "; lms needs router state no socket backend provides)\n";
+              << "' (valid: " << protocol_names() << ")\n";
     return 1;
   }
 
@@ -982,7 +908,10 @@ int main(int argc, char** argv) {
   flags.add_string("out", "", "output trace file for 'generate'");
   flags.add_string("in", "", "input trace file");
   flags.add_string("method", "yajnik", "estimator: yajnik | minc");
-  flags.add_string("protocol", "cesrm", "protocol for 'simulate': srm | cesrm | lms");
+  flags.add_string("protocol", "cesrm",
+                   std::string("protocol for 'simulate' and 'netio-run' "
+                               "(netio-run refuses lms): ") +
+                       protocol_names());
   flags.add_string("policy", "most-recent",
                    "expedition policy: most-recent | most-frequent");
   flags.add_string("cache-policy", "recency",
