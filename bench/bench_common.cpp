@@ -135,6 +135,18 @@ bool read_common_flags(const util::CliFlags& flags, BenchOptions* out) {
     if (!parse_slo(slo, &gate->specs)) return false;
     out->slo = std::move(gate);
   }
+  harness::RunnerOptions runner_opts;
+  runner_opts.jobs = out->jobs;
+  runner_opts.on_progress = [](const harness::JobOutcome& outcome,
+                               std::size_t done, std::size_t total) {
+    std::cerr << "[" << done << "/" << total << "] "
+              << protocol_name(outcome.protocol) << " "
+              << outcome.result.trace_name;
+    if (!outcome.label.empty()) std::cerr << " (" << outcome.label << ")";
+    std::cerr << ": " << util::fmt_fixed(outcome.wall_seconds, 1) << "s\n";
+  };
+  out->runner = std::make_shared<harness::ExperimentRunner>(
+      std::move(runner_opts));
   return true;
 }
 
@@ -250,26 +262,10 @@ std::vector<trace::TraceSpec> selected_specs(const BenchOptions& opts) {
   return specs;
 }
 
-harness::ExperimentRunner make_runner(const BenchOptions& opts) {
-  harness::RunnerOptions runner_opts;
-  runner_opts.jobs = opts.jobs;
-  // Progress goes to stderr so stdout is byte-identical for any --jobs.
-  runner_opts.on_progress = [](const harness::JobOutcome& outcome,
-                               std::size_t done, std::size_t total) {
-    std::cerr << "[" << done << "/" << total << "] "
-              << protocol_name(outcome.protocol) << " "
-              << outcome.result.trace_name;
-    if (!outcome.label.empty()) std::cerr << " (" << outcome.label << ")";
-    std::cerr << ": " << util::fmt_fixed(outcome.wall_seconds, 1) << "s\n";
-  };
-  return harness::ExperimentRunner(std::move(runner_opts));
-}
-
 std::vector<harness::JobOutcome> run_jobs(
     std::vector<harness::ExperimentJob> jobs, const BenchOptions& opts,
     harness::JsonResultSink* sink) {
-  harness::ExperimentRunner runner = make_runner(opts);
-  auto outcomes = runner.run(std::move(jobs));
+  auto outcomes = opts.runner->run(std::move(jobs));
   if (sink != nullptr)
     for (const auto& outcome : outcomes)
       sink->add(outcome.result, outcome.wall_seconds, outcome.label);

@@ -1,15 +1,18 @@
 // bench_common.hpp — shared machinery for the trace-driven bench binaries.
 //
 // Every bench reenacts Table-1 traces: generate (§4.1 substitute), infer
-// drop links (§4.2), run SRM and CESRM (§4.3), and print the series the
-// paper's tables and figures report. All benches sweep through the
-// parallel ExperimentRunner: traces are generated once into a shared cache
-// and the (trace × protocol × variant) jobs fan out over --jobs worker
-// threads (default: hardware concurrency). Results are deterministic and
-// byte-identical for any --jobs value, including 1. The common flags let a
-// user trim the sweep (--traces=1,4,7), cap packets per trace
-// (--packets-cap=20000), change the link delay (§4.3 ran 10/20/30 ms), or
-// dump machine-readable results (--json=FILE).
+// drop links (§4.2), run SRM, CESRM or LMS (§4.3), and print the series
+// the paper's tables and figures report. bench_paper prints Table 1 …
+// Figure 5, bench_ablation every one-setting comparison (ablations,
+// router assist, churn, LMS and the cache-policy laboratory) and
+// bench_faults the fault scenarios. Each invocation owns one parallel
+// ExperimentRunner: every trace is generated once into its cache, however
+// many batches replay it, and the (trace × protocol × variant) jobs fan
+// out over --jobs worker threads (default: hardware concurrency). Results
+// are deterministic and byte-identical for any --jobs value, including 1.
+// The common flags let a user trim the sweep (--traces=1,4,7), cap
+// packets per trace (--packets-cap=20000), change the link delay (§4.3
+// ran 10/20/30 ms), or dump machine-readable results (--json=FILE).
 #pragma once
 
 #include <memory>
@@ -105,6 +108,10 @@ struct BenchOptions {
   /// Non-null when --slo asserted service levels; accumulated by run_jobs
   /// alongside the artifacts and settled by slo_exit().
   std::shared_ptr<SloGate> slo;
+  /// The invocation's one runner (--jobs workers, per-job progress on
+  /// stderr so stdout is byte-identical for any jobs count). Its trace
+  /// cache serves prepare() and every run_jobs() batch.
+  std::shared_ptr<harness::ExperimentRunner> runner;
 };
 
 /// Evaluates the gate when --slo was given: prints one deterministic
@@ -117,8 +124,9 @@ int slo_exit(const BenchOptions& opts);
 /// Registers the common flags on `flags`.
 void add_common_flags(util::CliFlags& flags, const std::string& default_traces);
 
-/// Builds BenchOptions from parsed flags; returns false on bad input. An
-/// empty --traces leaves trace_ids empty for the bench to fill.
+/// Builds BenchOptions, its runner included, from parsed flags; returns
+/// false on bad input. An empty --traces leaves trace_ids empty for the
+/// bench to fill.
 bool read_common_flags(const util::CliFlags& flags, BenchOptions* out);
 
 /// Appends the Table-1 ids of a --traces value ("all" or "1,4,7") to
@@ -128,12 +136,7 @@ bool parse_trace_ids(const std::string& text, std::vector<int>* out);
 /// The capped Table-1 specs selected by opts.trace_ids, in order.
 std::vector<trace::TraceSpec> selected_specs(const BenchOptions& opts);
 
-/// An ExperimentRunner configured from opts: --jobs workers and a one-line
-/// per-job progress report on stderr (stdout stays byte-identical for any
-/// jobs count).
-harness::ExperimentRunner make_runner(const BenchOptions& opts);
-
-/// Runs an arbitrary job list on the runner; outcomes come back in job
+/// Runs an arbitrary job list on opts.runner; outcomes come back in job
 /// order. Every outcome is also added to `sink` (if non-null) with its
 /// wall time and label.
 std::vector<harness::JobOutcome> run_jobs(

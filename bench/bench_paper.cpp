@@ -137,7 +137,7 @@ void print_analysis(const std::vector<TraceRun>& runs,
                     const BenchOptions& opts) {
   bench::print_header("Section 3.4 — Expedited vs non-expedited recoveries",
                       opts);
-  const auto bounds = harness::analysis_bounds(opts.base.cesrm.srm);
+  const auto bounds = harness::analysis_bounds();
   std::cout << "Equation (1): avg first-round non-expedited recovery ≤ "
             << util::fmt_fixed(bounds.srm_first_round_bound_d, 2) << " d = "
             << util::fmt_fixed(bounds.srm_first_round_bound_rtt, 2)
@@ -231,7 +231,7 @@ void print_figure2(const std::vector<TraceRun>& runs,
       "Figure 2 — RTT difference in avg. norm. recovery time "
       "(non-expedited − expedited)",
       opts);
-  const auto bounds = harness::analysis_bounds(opts.base.cesrm.srm);
+  const auto bounds = harness::analysis_bounds();
   std::cout << "Section 3.4 prediction: difference ≤ ~"
             << util::fmt_fixed(bounds.predicted_gain_rtt, 2)
             << " RTT (Eq. 1 bound " << bounds.srm_first_round_bound_rtt

@@ -79,8 +79,8 @@ enum class CachePolicyKind {
   kOracle,
 };
 
-/// Every policy, recency first and oracle last (bench_cache_policies
-/// compares those two).
+/// Every policy, recency first and oracle last (bench_ablation's cache
+/// axis compares those two).
 inline constexpr std::array<CachePolicyKind, 4> kAllCachePolicyKinds = {
     CachePolicyKind::kRecency,
     CachePolicyKind::kConfidence,

@@ -215,7 +215,7 @@ void CesrmAgent::on_exp_request(const net::Packet& pkt) {
     // as if the expedited reply went out.
     rs.abstinence_until =
         sim_.now() + sim::SimTime::from_seconds(
-                         config_.d3 * distance_to(pkt.ann.requestor));
+                         srm::kD3 * distance_to(pkt.ann.requestor));
     return;
   }
 
@@ -246,7 +246,7 @@ void CesrmAgent::on_exp_request(const net::Packet& pkt) {
   // Sending a reply starts the reply abstinence period.
   rs.abstinence_until =
       sim_.now() + sim::SimTime::from_seconds(
-                       config_.d3 * distance_to(pkt.ann.requestor));
+                       srm::kD3 * distance_to(pkt.ann.requestor));
 }
 
 }  // namespace cesrm::cesrm

@@ -153,6 +153,9 @@ sim::SimTime at_fraction(const ScenarioContext& ctx, double f) {
   return ctx.data_start + (ctx.data_end - ctx.data_start) * f;
 }
 
+/// Share of the receivers replier_crash_plan crash-stops.
+constexpr double kReplierCrashFraction = 0.3;
+
 void check_ctx(const ScenarioContext& ctx) {
   CESRM_CHECK_MSG(ctx.receivers > 0, "scenario needs receivers");
   CESRM_CHECK_MSG(ctx.data_end > ctx.data_start, "empty data window");
@@ -160,15 +163,12 @@ void check_ctx(const ScenarioContext& ctx) {
 
 }  // namespace
 
-FaultPlan replier_crash_plan(const ScenarioContext& ctx,
-                             double crash_fraction) {
+FaultPlan replier_crash_plan(const ScenarioContext& ctx) {
   check_ctx(ctx);
-  CESRM_CHECK_MSG(crash_fraction > 0.0 && crash_fraction < 1.0,
-                  "crash fraction outside (0,1)");
   const int crashed = std::min(
       ctx.receivers - 1,
-      static_cast<int>(
-          std::ceil(static_cast<double>(ctx.receivers) * crash_fraction)));
+      static_cast<int>(std::ceil(static_cast<double>(ctx.receivers) *
+                                 kReplierCrashFraction)));
   const sim::SimTime when = at_fraction(ctx, 0.5);
   FaultPlan plan;
   for (int i = 0; i < crashed; ++i)

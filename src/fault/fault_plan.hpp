@@ -141,10 +141,10 @@ struct NamedPlan {
   FaultPlan plan;
 };
 
-/// Crash-stops the last ceil(crash_fraction · R) receivers at the
-/// midpoint — the cached-replier-dies churn scenario of bench_churn.
-FaultPlan replier_crash_plan(const ScenarioContext& ctx,
-                             double crash_fraction = 0.3);
+/// Crash-stops the last ceil(0.3 · R) receivers (at most R - 1) at the
+/// midpoint — the cached-replier-dies churn scenario of bench_ablation's
+/// churn axis.
+FaultPlan replier_crash_plan(const ScenarioContext& ctx);
 /// Partitions the subtree above receiver 0 for the middle ~15% of the
 /// transmission, then heals it.
 FaultPlan subtree_partition_plan(const ScenarioContext& ctx);

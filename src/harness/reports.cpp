@@ -257,11 +257,11 @@ bool JsonResultSink::write_file(const std::string& path) const {
   return static_cast<bool>(out);
 }
 
-AnalysisBounds analysis_bounds(const srm::SrmConfig& config) {
+AnalysisBounds analysis_bounds() {
   AnalysisBounds b;
   // Eq. (1): (C1 + C2/2)·d + d + (D1 + D2/2)·d + d
-  b.srm_first_round_bound_d = (config.c1 + 0.5 * config.c2) + 1.0 +
-                              (config.d1 + 0.5 * config.d2) + 1.0;
+  b.srm_first_round_bound_d =
+      (srm::kC1 + 0.5 * srm::kC2) + 1.0 + (srm::kD1 + 0.5 * srm::kD2) + 1.0;
   b.srm_first_round_bound_rtt = b.srm_first_round_bound_d / 2.0;
   // Eq. (2): REORDER-DELAY + RTT ≈ RTT for negligible REORDER-DELAY.
   b.expedited_bound_rtt = 1.0;

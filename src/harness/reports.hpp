@@ -118,7 +118,8 @@ struct AnalysisBounds {
   /// Predicted improvement (difference of the two, in RTT).
   double predicted_gain_rtt = 0.0;
 };
-AnalysisBounds analysis_bounds(const srm::SrmConfig& config);
+/// The bounds under SRM's timer weights (srm::kC1, kC2, kD1, kD2).
+AnalysisBounds analysis_bounds();
 
 // --------------------------------------------------------------------------
 // JSON result sink — machine-readable companion to the text tables.

@@ -249,6 +249,12 @@ net::MulticastTree build_scale_tree(std::uint64_t blocks, int depth,
 }  // namespace
 
 ScaleResult run_scale(const ScaleConfig& config) {
+  CESRM_CHECK_MSG(config.protocol == Protocol::kSrm ||
+                      config.protocol == Protocol::kCesrm,
+                  "scale runs SRM or CESRM receiver blocks (valid: srm, "
+                  "cesrm; got "
+                      << protocol_name(config.protocol)
+                      << ", which has no block model)");
   CESRM_CHECK_MSG(config.receivers >= 1, "scale run needs >= 1 receiver");
   CESRM_CHECK_MSG(config.block_members >= 1, "block size must be >= 1");
   CESRM_CHECK_MSG(config.packets >= 1, "scale run needs >= 1 data packet");

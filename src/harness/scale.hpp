@@ -35,6 +35,7 @@
 namespace cesrm::harness {
 
 struct ScaleConfig {
+  /// SRM or CESRM receiver blocks; run_scale refuses any other protocol.
   Protocol protocol = Protocol::kCesrm;
   /// Total receiver population N; hosted as ceil(N / block_members)
   /// leaf blocks of up to block_members each.

@@ -14,7 +14,8 @@
 // CESRM paper's §3.3 critique — *staleness*: when a member crashes, every
 // router that designated it keeps forwarding requests to the dead member
 // until a repair delay elapses and the entry is re-designated. CESRM needs
-// no such state, which is precisely the comparison bench_lms quantifies.
+// no such state, which is precisely the comparison bench_ablation's LMS
+// axis quantifies.
 #pragma once
 
 #include <cstdint>

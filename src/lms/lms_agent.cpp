@@ -107,7 +107,7 @@ void LmsAgent::on_exp_request(const net::Packet& pkt) {
   net_.send_reply_localized(node(), ann.turning_point, reply);
   rs.abstinence_until =
       sim_.now() + sim::SimTime::from_seconds(
-                       config_.d3 * distance_to(pkt.ann.requestor));
+                       srm::kD3 * distance_to(pkt.ann.requestor));
 }
 
 }  // namespace cesrm::lms

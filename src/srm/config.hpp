@@ -1,8 +1,9 @@
 // config.hpp — SRM protocol parameters (§2, §4.3).
 //
-// Defaults are the paper's simulation settings, which in turn are the
-// typical values of Floyd et al.: C1 = C2 = 2, C3 = 1.5, D1 = D2 = 1,
-// D3 = 1.5, session period 1 s.
+// The timer weights are constants: C1 = C2 = 2, C3 = 1.5, D1 = D2 = 1,
+// D3 = 1.5, the paper's simulation settings, which in turn are the typical
+// values of Floyd et al. SrmConfig's defaults are the paper's settings too
+// (session period 1 s, fixed timers).
 #pragma once
 
 #include <cstddef>
@@ -13,26 +14,6 @@
 namespace cesrm::srm {
 
 struct SrmConfig {
-  // --- request scheduling (§2.1) ---
-  /// Deterministic request suppression weight: requests are delayed at
-  /// least C1·d̂hs.
-  double c1 = 2.0;
-  /// Probabilistic request suppression weight: the request interval width
-  /// is C2·d̂hs.
-  double c2 = 2.0;
-  /// Back-off abstinence weight: after (re)scheduling a round-k request,
-  /// further requests heard within 2^k·C3·d̂hs do not back it off again.
-  double c3 = 1.5;
-
-  // --- reply scheduling (§2.2) ---
-  /// Deterministic reply suppression weight (×d̂hh').
-  double d1 = 1.0;
-  /// Probabilistic reply suppression weight (×d̂hh').
-  double d2 = 1.0;
-  /// Reply abstinence weight: after sending/receiving a reply, requests
-  /// arriving within D3·d̂hh' are discarded.
-  double d3 = 1.5;
-
   // --- session protocol (§2, §4.3) ---
   sim::SimTime session_period = sim::SimTime::seconds(1);
   /// When true, hosts read exact tree-path distances from the network
@@ -48,6 +29,26 @@ struct SrmConfig {
   /// paper simulates the fixed "typical settings".
   bool adaptive_timers = false;
 };
+
+// --- request scheduling (§2.1) ---
+/// Deterministic request suppression weight: requests are delayed at
+/// least C1·d̂hs.
+inline constexpr double kC1 = 2.0;
+/// Probabilistic request suppression weight: the request interval width
+/// is C2·d̂hs.
+inline constexpr double kC2 = 2.0;
+/// Back-off abstinence weight: after (re)scheduling a round-k request,
+/// further requests heard within 2^k·C3·d̂hs do not back it off again.
+inline constexpr double kC3 = 1.5;
+
+// --- reply scheduling (§2.2) ---
+/// Deterministic reply suppression weight (×d̂hh').
+inline constexpr double kD1 = 1.0;
+/// Probabilistic reply suppression weight (×d̂hh').
+inline constexpr double kD2 = 1.0;
+/// Reply abstinence weight: after sending/receiving a reply, requests
+/// arriving within D3·d̂hh' are discarded.
+inline constexpr double kD3 = 1.5;
 
 /// Maximum request back-off exponent; 2^k growth is capped here to keep
 /// timeouts bounded in pathological suppression storms (the paper does

@@ -4,6 +4,7 @@
 #include <bit>
 #include <cmath>
 
+#include "srm/config.hpp"
 #include "util/check.hpp"
 #include "util/rng.hpp"
 
@@ -15,6 +16,8 @@ constexpr std::uint64_t kMemberSalt = 0x9E3779B97F4A7C15ULL;
 constexpr std::uint64_t kSeqSalt = 0xC2B2AE3D27D4EB4FULL;
 constexpr std::uint64_t kUseSalt = 0x165667B19E3779F9ULL;
 constexpr int kMaxBackoff = 5;
+/// How long a gap waits for reordered data before it counts as a loss.
+constexpr sim::SimTime kReorderGuard = sim::SimTime::millis(10);
 
 }  // namespace
 
@@ -76,7 +79,7 @@ void ReceiverBlock::on_data(net::SeqNo seq) {
   losses_ += lost;
   // All of the block's losers notice the gap together once the reorder
   // guard passes (co-located members share the next in-order arrival).
-  sim_.schedule_in(config_.reorder_guard, [this, seq] { detect_gap(seq); });
+  sim_.schedule_in(kReorderGuard, [this, seq] { detect_gap(seq); });
 }
 
 bool ReceiverBlock::deliver(std::uint32_t member, net::SeqNo seq) {
@@ -127,12 +130,12 @@ void ReceiverBlock::schedule_request(Repair& r) {
     // guard (§3.1's edge). One shot only — retries rejoin the backoff
     // schedule, because retrying faster than the reply RTT just floods
     // the replier's downlink with duplicate repairs.
-    delay = config_.reorder_guard;
+    delay = kReorderGuard;
   } else {
     const double d = rtt_.to_seconds();
     const double jitter =
-        config_.c1 * d +
-        config_.c2 * d *
+        kC1 * d +
+        kC2 * d *
             hash_uniform(static_cast<std::uint64_t>(r.seq), r.rounds, 2);
     delay = sim::SimTime::from_seconds(
         std::ldexp(jitter, std::min(r.rounds, kMaxBackoff)));

@@ -48,12 +48,9 @@ struct ReceiverBlockConfig {
   double member_loss = 0.01;
   /// CESRM mode: after the first recovery the cached pair expedites every
   /// later request (no SRM backoff wait). SRM mode ignores the cache.
+  /// Either way a request waits uniform [C1, C1+C2] · rtt (srm::kC1,
+  /// srm::kC2), doubled per backoff round.
   bool expedited = false;
-  /// SRM request timer shape: uniform jitter in [c1, c1+c2] · rtt, doubled
-  /// per backoff round (C1/C2 = 2 as in the paper's setup).
-  double c1 = 2.0, c2 = 2.0;
-  /// Reorder guard before a gap counts as a loss.
-  sim::SimTime reorder_guard = sim::SimTime::millis(10);
 };
 
 class ReceiverBlock : public net::Agent {

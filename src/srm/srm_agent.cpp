@@ -21,13 +21,12 @@ SrmAgent::SrmAgent(sim::Simulator& sim, net::Transport& network,
       rng_(rng),
       dist_(self) {
   if (config_.adaptive_timers) {
-    req_ctrl_ = std::make_unique<AdaptiveController>(config_.c1, config_.c2);
+    req_ctrl_ = std::make_unique<AdaptiveController>(kC1, kC2);
     AdaptiveTuning reply_tuning;
     // Reply duplicates are observed per reply event ("was this reply a
     // duplicate of a pending one?"), so the target is a fraction.
     reply_tuning.dup_target = 0.25;
-    rep_ctrl_ = std::make_unique<AdaptiveController>(config_.d1, config_.d2,
-                                                     reply_tuning);
+    rep_ctrl_ = std::make_unique<AdaptiveController>(kD1, kD2, reply_tuning);
   }
   net_.attach(self_, this);
   // Seed the primary stream so losses of its very first packets are
@@ -392,9 +391,8 @@ SrmAgent::WantState* SrmAgent::detect_loss(net::NodeId source,
     want->backoff = 1;
     want->request_timer.arm(draw_request_delay(source, want->backoff));
     want->abstinence_until =
-        sim_.now() + sim::SimTime::from_seconds(
-                         std::ldexp(config_.c3 * distance_to(source),
-                                    want->backoff));
+        sim_.now() + sim::SimTime::from_seconds(std::ldexp(
+                         kC3 * distance_to(source), want->backoff));
   } else {
     want->backoff = 0;
     want->request_timer.arm(draw_request_delay(source, 0));
@@ -488,8 +486,8 @@ void SrmAgent::mark_received(const net::Packet& via) {
 
 sim::SimTime SrmAgent::draw_request_delay(net::NodeId source, int k) {
   const double d = distance_to(source);
-  const double c1 = req_ctrl_ ? req_ctrl_->deterministic() : config_.c1;
-  const double c2 = req_ctrl_ ? req_ctrl_->probabilistic() : config_.c2;
+  const double c1 = req_ctrl_ ? req_ctrl_->deterministic() : kC1;
+  const double c2 = req_ctrl_ ? req_ctrl_->probabilistic() : kC2;
   const double lo = c1 * d;
   const double hi = (c1 + c2) * d;
   const double scale = std::ldexp(1.0, std::min(k, kMaxRequestBackoff));
@@ -524,7 +522,7 @@ void SrmAgent::request_timer_fired(net::NodeId source, net::SeqNo seq) {
   want.abstinence_until =
       sim_.now() +
       sim::SimTime::from_seconds(
-          std::ldexp(config_.c3 * distance_to(source), want.backoff));
+          std::ldexp(kC3 * distance_to(source), want.backoff));
 }
 
 void SrmAgent::backoff_request(WantState& want) {
@@ -538,7 +536,7 @@ void SrmAgent::backoff_request(WantState& want) {
   want.abstinence_until =
       sim_.now() +
       sim::SimTime::from_seconds(
-          std::ldexp(config_.c3 * distance_to(want.source), want.backoff));
+          std::ldexp(kC3 * distance_to(want.source), want.backoff));
 }
 
 void SrmAgent::handle_request(const net::Packet& pkt) {
@@ -556,8 +554,8 @@ void SrmAgent::handle_request(const net::Packet& pkt) {
     rs.requestor_dist_to_src = pkt.ann.dist_requestor_source;
     rs.request_arrival = sim_.now();
     const double d = distance_to(rs.requestor);
-    const double d1 = rep_ctrl_ ? rep_ctrl_->deterministic() : config_.d1;
-    const double d2 = rep_ctrl_ ? rep_ctrl_->probabilistic() : config_.d2;
+    const double d1 = rep_ctrl_ ? rep_ctrl_->deterministic() : kD1;
+    const double d2 = rep_ctrl_ ? rep_ctrl_->probabilistic() : kD2;
     const double lo = d1 * d;
     const double hi = (d1 + d2) * d;
     rs.reply_timer.arm(sim::SimTime::from_seconds(rng_.uniform(lo, hi)));
@@ -607,8 +605,8 @@ void SrmAgent::reply_timer_fired(net::NodeId source, net::SeqNo seq) {
     // abstinence as if it went out, so a burst of queued requests for the
     // same repair cannot stampede this host.
     rs.abstinence_until =
-        sim_.now() + sim::SimTime::from_seconds(config_.d3 *
-                                                distance_to(rs.requestor));
+        sim_.now() +
+        sim::SimTime::from_seconds(kD3 * distance_to(rs.requestor));
     return;
   }
 
@@ -636,8 +634,7 @@ void SrmAgent::reply_timer_fired(net::NodeId source, net::SeqNo seq) {
     durable_sink_->on_reply_served(source, seq, rs.requestor,
                                    /*expedited=*/false);
   rs.abstinence_until =
-      sim_.now() + sim::SimTime::from_seconds(config_.d3 *
-                                              distance_to(rs.requestor));
+      sim_.now() + sim::SimTime::from_seconds(kD3 * distance_to(rs.requestor));
 }
 
 void SrmAgent::handle_reply(const net::Packet& pkt) {
@@ -657,8 +654,8 @@ void SrmAgent::handle_reply(const net::Packet& pkt) {
                 pkt.source, pkt.seq, pkt.sender);
   }
   const sim::SimTime abstinence =
-      sim_.now() + sim::SimTime::from_seconds(
-                       config_.d3 * distance_to(pkt.ann.requestor));
+      sim_.now() +
+      sim::SimTime::from_seconds(kD3 * distance_to(pkt.ann.requestor));
   rs.abstinence_until = std::max(rs.abstinence_until, abstinence);
 
   if (!originates(pkt.source)) {

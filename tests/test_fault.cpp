@@ -196,7 +196,7 @@ TEST(FaultCrash, CrashedAgentsFireNoZombieTimers) {
   // crash must disarm everything — any timer callback that still runs on a
   // failed member is counted as a zombie fire.
   const auto result = run_with_plan(
-      Protocol::kCesrm, fault::replier_crash_plan(workload().context, 0.3));
+      Protocol::kCesrm, fault::replier_crash_plan(workload().context));
   std::uint64_t crashed = 0;
   for (const auto& m : result.members) {
     EXPECT_EQ(m.stats.zombie_timer_fires, 0u) << "node " << m.node;

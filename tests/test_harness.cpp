@@ -434,8 +434,7 @@ TEST(Reports, Figure5PercentagesInPaperBands) {
 }
 
 TEST(Reports, AnalysisBoundsMatchSection34) {
-  srm::SrmConfig cfg;  // C1=C2=2, D1=D2=1
-  const auto b = analysis_bounds(cfg);
+  const auto b = analysis_bounds();  // C1=C2=2, D1=D2=1
   EXPECT_DOUBLE_EQ(b.srm_first_round_bound_d, 6.5);
   EXPECT_DOUBLE_EQ(b.srm_first_round_bound_rtt, 3.25);
   EXPECT_DOUBLE_EQ(b.expedited_bound_rtt, 1.0);

@@ -266,6 +266,25 @@ TEST(ScaleSharding, RejectsFewerThanOneShard) {
   }
 }
 
+TEST(ScaleRun, RefusesProtocolsWithoutABlockModel) {
+  // Receiver blocks model SRM and CESRM only; any other protocol must be
+  // refused, not silently run as SRM.
+  harness::ScaleConfig cfg;
+  cfg.receivers = 100;
+  cfg.block_members = 50;
+  cfg.tree_depth = 3;
+  cfg.packets = 10;
+  cfg.protocol = Protocol::kLms;
+  try {
+    harness::run_scale(cfg);
+    FAIL() << "run_scale ran protocol LMS";
+  } catch (const util::CheckError& e) {
+    EXPECT_NE(std::string(e.what()).find("valid: srm, cesrm"),
+              std::string::npos)
+        << e.what();
+  }
+}
+
 // ------------------------------------------------ the load-balanced cut ----
 
 /// Runs `cfg` at 2, 3 and 4 shards: the shards' executed events must add
