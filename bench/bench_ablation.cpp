@@ -337,12 +337,11 @@ Axis router_axis() {
 
 /// The replier-crash scenario on `loss`: the last 30% of the receivers
 /// crash-stop once half the packets are out.
-fault::FaultPlan churn_plan(const trace::LossTrace& loss,
-                            sim::SimTime warmup) {
+fault::FaultPlan churn_plan(const trace::LossTrace& loss) {
   fault::ScenarioContext ctx;
   ctx.receivers = static_cast<int>(loss.tree().receivers().size());
-  ctx.data_start = warmup;
-  ctx.data_end = warmup + loss.period() * loss.packet_count();
+  ctx.data_start = harness::kWarmup;
+  ctx.data_end = harness::kWarmup + loss.period() * loss.packet_count();
   return fault::replier_crash_plan(ctx);
 }
 
@@ -391,24 +390,22 @@ CrashSplit split_at(const ExperimentResult& result, sim::SimTime crash) {
 /// live pairs. One CESRM run per trace under the replier-crash plan, with
 /// the invariant oracle armed; the rows split the surviving members'
 /// recoveries at the crash.
-Axis churn_axis(sim::SimTime warmup) {
+Axis churn_axis() {
   return {
       .title = "Membership churn (§3.3) — crash-stop receivers",
       .traces = "1,7,13",
       .variants = {{"churn", Protocol::kCesrm,
-                    [warmup](ExperimentConfig& c,
-                             const trace::LossTrace& loss) {
-                      c.faults = churn_plan(loss, warmup);
+                    [](ExperimentConfig& c, const trace::LossTrace& loss) {
+                      c.faults = churn_plan(loss);
                     }}},
       .columns = {"phase", "exp success %", "exp share %",
                   "CESRM latency (RTT)", "unrecovered"},
       .left_columns = 2,
       .rows =
-          [warmup](Outcomes outs) {
+          [](Outcomes outs) {
             const ExperimentResult& result = outs[0].result;
             const CrashSplit split = split_at(
-                result,
-                churn_plan(outs[0].trace->loss(), warmup).crashes.front().at);
+                result, churn_plan(outs[0].trace->loss()).crashes.front().at);
             const auto erqst =
                 static_cast<double>(result.total_exp_requests_sent());
             const auto erepl =
@@ -465,8 +462,8 @@ int busiest_replier_rank(const net::MulticastTree& tree) {
 }
 
 /// When half of `loss`'s packets are out.
-sim::SimTime lms_midpoint(const trace::LossTrace& loss, sim::SimTime warmup) {
-  return warmup + loss.period() * (loss.packet_count() / 2);
+sim::SimTime lms_midpoint(const trace::LossTrace& loss) {
+  return harness::kWarmup + loss.period() * (loss.packet_count() / 2);
 }
 
 /// §3.3/§5: under stable membership LMS's designated repliers and CESRM's
@@ -476,20 +473,19 @@ sim::SimTime lms_midpoint(const trace::LossTrace& loss, sim::SimTime warmup) {
 /// repairs, while CESRM degrades to SRM. Each protocol runs healthy and
 /// with the busiest LMS replier crash-stopped at the midpoint, SRM being
 /// the reference.
-Axis lms_axis(sim::SimTime warmup) {
+Axis lms_axis() {
   std::vector<Variant> variants;
   for (const Protocol protocol :
        {Protocol::kSrm, Protocol::kCesrm, Protocol::kLms})
     for (const bool churned : {false, true})
       variants.push_back(
           {churned ? "churned" : "healthy", protocol,
-           [warmup, churned](ExperimentConfig& c,
-                             const trace::LossTrace& loss) {
+           [churned](ExperimentConfig& c, const trace::LossTrace& loss) {
              c.drain = sim::SimTime::seconds(60);
              if (churned)
                c.faults.crashes.push_back(
                    {.receiver_rank = busiest_replier_rank(loss.tree()),
-                    .at = lms_midpoint(loss, warmup)});
+                    .at = lms_midpoint(loss)});
            }});
   return {
       .title = "LMS baseline (§3.3/§5) — healthy and under churn",
@@ -500,9 +496,8 @@ Axis lms_axis(sim::SimTime warmup) {
                   "retrans crossings/recovery"},
       .left_columns = 2,
       .rows =
-          [warmup](Outcomes outs) {
-            const sim::SimTime midpoint =
-                lms_midpoint(outs[0].trace->loss(), warmup);
+          [](Outcomes outs) {
+            const sim::SimTime midpoint = lms_midpoint(outs[0].trace->loss());
             std::vector<Row> rows;
             for (std::size_t i = 0; i < outs.size(); i += 2) {
               const ExperimentResult& healthy_run = outs[i].result;
@@ -725,10 +720,9 @@ int main(int argc, char** argv) {
   if (!bench::read_common_flags(flags, &opts)) return 1;
   if (opts.packets_cap == 0) opts.packets_cap = 20000;  // ablation default
 
-  const Axis axes[] = {policy_axis(), lossy_axis(), delay_axis(),
-                       adaptive_axis(), router_axis(),
-                       churn_axis(opts.base.warmup),
-                       lms_axis(opts.base.warmup), cache_axis()};
+  const Axis axes[] = {policy_axis(),   lossy_axis(),  delay_axis(),
+                       adaptive_axis(), router_axis(), churn_axis(),
+                       lms_axis(),      cache_axis()};
 
   // Every axis's jobs, trace-major and variant-minor, in one batch. The
   // edits read each axis's prepared traces, which the batch then replays

@@ -242,23 +242,12 @@ int slo_exit(const BenchOptions& opts) {
   return all_pass ? 0 : 3;
 }
 
-trace::TraceSpec capped_spec(const trace::TraceSpec& spec,
-                             net::SeqNo packets_cap) {
-  if (packets_cap <= 0 || packets_cap >= spec.packets) return spec;
-  trace::TraceSpec scaled = spec;
-  const double scale = static_cast<double>(packets_cap) /
-                       static_cast<double>(spec.packets);
-  scaled.packets = packets_cap;
-  scaled.losses = static_cast<std::int64_t>(
-      static_cast<double>(spec.losses) * scale);
-  return scaled;
-}
-
 std::vector<trace::TraceSpec> selected_specs(const BenchOptions& opts) {
   std::vector<trace::TraceSpec> specs;
   specs.reserve(opts.trace_ids.size());
   for (int id : opts.trace_ids)
-    specs.push_back(capped_spec(trace::table1_spec(id), opts.packets_cap));
+    specs.push_back(
+        trace::capped_spec(trace::table1_spec(id), opts.packets_cap));
   return specs;
 }
 

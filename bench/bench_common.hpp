@@ -149,11 +149,6 @@ std::vector<harness::JobOutcome> run_jobs(
 std::vector<TraceRun> run_traces(const BenchOptions& opts,
                                  harness::JsonResultSink* sink = nullptr);
 
-/// Applies the packet cap to a spec by scaling the published loss budget
-/// proportionally (so loss *rates* are preserved).
-trace::TraceSpec capped_spec(const trace::TraceSpec& spec,
-                             net::SeqNo packets_cap);
-
 /// Prints the standard bench header (paper reference, run parameters).
 void print_header(const std::string& what, const BenchOptions& opts);
 

@@ -28,15 +28,14 @@ namespace {
 
 using namespace cesrm;
 
-/// The scenario timeline of a capped spec under the bench config: data
-/// flows over [warmup, warmup + period · packets).
-fault::ScenarioContext context_for(const trace::TraceSpec& spec,
-                                   const harness::ExperimentConfig& base) {
+/// The scenario timeline of a capped spec: data flows over
+/// [kWarmup, kWarmup + period · packets).
+fault::ScenarioContext context_for(const trace::TraceSpec& spec) {
   fault::ScenarioContext ctx;
   ctx.receivers = spec.receivers;
-  ctx.data_start = base.warmup;
-  ctx.data_end = base.warmup + sim::SimTime::millis(spec.period_ms) *
-                                   static_cast<std::int64_t>(spec.packets);
+  ctx.data_start = harness::kWarmup;
+  ctx.data_end = harness::kWarmup + sim::SimTime::millis(spec.period_ms) *
+                                        static_cast<std::int64_t>(spec.packets);
   return ctx;
 }
 
@@ -132,7 +131,7 @@ int main(int argc, char** argv) {
   std::vector<harness::ExperimentJob> jobs;
   std::vector<JobMeta> meta;
   for (const auto& spec : bench::selected_specs(opts)) {
-    const auto ctx = context_for(spec, opts.base);
+    const auto ctx = context_for(spec);
     for (const auto& scenario : fault::shipped_scenarios(ctx)) {
       for (const Protocol protocol : {Protocol::kSrm, Protocol::kCesrm}) {
         harness::ExperimentJob job;
@@ -222,7 +221,7 @@ int main(int argc, char** argv) {
   };
   std::vector<DurableMeta> dmeta;
   for (const auto& spec : bench::selected_specs(opts)) {
-    const auto ctx = context_for(spec, opts.base);
+    const auto ctx = context_for(spec);
     const auto plan = fault::crash_recover_plan(ctx);
     for (const durable::DurableMode mode :
          {durable::DurableMode::kCold, durable::DurableMode::kWarm}) {

@@ -25,15 +25,9 @@ int main(int argc, char** argv) {
   flags.add_int("packets-cap", 15000, "cap packets (0 = full trace)");
   if (!flags.parse(argc, argv)) return 1;
 
-  trace::TraceSpec spec = trace::table1_spec(
-      static_cast<int>(flags.get_int("trace")));
-  const auto cap = flags.get_int("packets-cap");
-  if (cap > 0 && cap < spec.packets) {
-    spec.losses = static_cast<std::int64_t>(
-        static_cast<double>(spec.losses) * static_cast<double>(cap) /
-        static_cast<double>(spec.packets));
-    spec.packets = cap;
-  }
+  const trace::TraceSpec spec = trace::capped_spec(
+      trace::table1_spec(static_cast<int>(flags.get_int("trace"))),
+      flags.get_int("packets-cap"));
   std::cout << "Trace " << spec.name << ": " << spec.packets
             << " packets, " << spec.receivers << " receivers\n";
   const auto gen = trace::generate_trace(spec);

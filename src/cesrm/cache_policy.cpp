@@ -12,7 +12,6 @@ namespace cesrm::cesrm {
 namespace {
 
 constexpr util::EnumNames<CachePolicyKind, 4> kCachePolicyNames{
-    "cache policy",
     {{{CachePolicyKind::kRecency, "recency"},
       {CachePolicyKind::kConfidence, "confidence"},
       {CachePolicyKind::kSharded, "sharded"},
@@ -399,10 +398,6 @@ const char* cache_policy_names() {
 std::optional<CachePolicyKind> try_parse_cache_policy(
     const std::string& name) {
   return kCachePolicyNames.try_parse(name);
-}
-
-CachePolicyKind parse_cache_policy(const std::string& name) {
-  return kCachePolicyNames.parse(name);
 }
 
 bool cache_policy_needs_side_info(CachePolicyKind kind) {

@@ -91,10 +91,9 @@ inline constexpr std::array<CachePolicyKind, 4> kAllCachePolicyKinds = {
 const char* cache_policy_name(CachePolicyKind kind);
 /// The accepted spellings, comma-joined — for error messages and --help.
 const char* cache_policy_names();
+/// nullopt on an unknown spelling.
 std::optional<CachePolicyKind> try_parse_cache_policy(
     const std::string& name);
-/// Throws util::CheckError listing the valid spellings on bad input.
-CachePolicyKind parse_cache_policy(const std::string& name);
 
 /// True for policies that are pointless without CacheSideInfo (confidence,
 /// oracle): they degrade to recency-like behavior when none is installed.

@@ -6,7 +6,6 @@ namespace cesrm::cesrm {
 
 namespace {
 constexpr util::EnumNames<ExpeditionPolicy, 2> kExpeditionPolicyNames{
-    "expedition policy",
     {{{ExpeditionPolicy::kMostRecent, "most-recent"},
       {ExpeditionPolicy::kMostFrequent, "most-frequent"}}}};
 }  // namespace
@@ -22,10 +21,6 @@ const char* policy_names() {
 
 std::optional<ExpeditionPolicy> try_parse_policy(const std::string& name) {
   return kExpeditionPolicyNames.try_parse(name);
-}
-
-ExpeditionPolicy parse_policy(const std::string& name) {
-  return kExpeditionPolicyNames.parse(name);
 }
 
 std::optional<RecoveryTuple> select_pair(const RecoveryCache& cache,

@@ -28,11 +28,6 @@ const char* policy_names();
 /// Parses "most-recent" / "most-frequent"; nullopt otherwise.
 std::optional<ExpeditionPolicy> try_parse_policy(const std::string& name);
 
-/// Parses "most-recent" / "most-frequent"; throws util::CheckError with a
-/// message listing the valid spellings otherwise (the CLI front-ends catch
-/// it and print `error: ...` instead of a stack of CHECK noise).
-ExpeditionPolicy parse_policy(const std::string& name);
-
 /// Applies `policy` to `cache`; nullopt when the cache is empty. Purely
 /// read-only — no stats, no access bookkeeping (the fault oracle uses
 /// this on live caches it must not perturb; the agent's selection path

@@ -13,7 +13,6 @@ namespace cesrm::durable {
 namespace {
 
 constexpr util::EnumNames<DurableMode, 3> kDurableModeNames{
-    "durable mode",
     {{{DurableMode::kOff, "off"},
       {DurableMode::kCold, "cold"},
       {DurableMode::kWarm, "warm"}}}};
@@ -31,10 +30,6 @@ const char* durable_mode_names() {
 
 std::optional<DurableMode> try_parse_durable_mode(const std::string& name) {
   return kDurableModeNames.try_parse(name);
-}
-
-DurableMode parse_durable_mode(const std::string& name) {
-  return kDurableModeNames.parse(name);
 }
 
 // ---------------------------------------------------------------------------

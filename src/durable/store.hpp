@@ -48,9 +48,8 @@ enum class DurableMode {
 const char* durable_mode_name(DurableMode mode);
 /// The accepted spellings, comma-joined — for error messages and --help.
 const char* durable_mode_names();
+/// nullopt on an unknown spelling.
 std::optional<DurableMode> try_parse_durable_mode(const std::string& name);
-/// Throws util::CheckError listing the valid spellings on bad input.
-DurableMode parse_durable_mode(const std::string& name);
 
 struct DurableConfig {
   DurableMode mode = DurableMode::kOff;

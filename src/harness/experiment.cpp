@@ -244,11 +244,10 @@ ExperimentResult run_experiment_impl(
       faults ? ChainedSource::Hold(
                    [&faults] { return faults->source_resume_time(); })
              : nullptr);
-  transmission.start(config.warmup);
+  transmission.start(kWarmup);
 
   sim::SimTime horizon =
-      config.warmup +
-      loss_trace.period() * static_cast<std::int64_t>(packet_count) +
+      kWarmup + loss_trace.period() * static_cast<std::int64_t>(packet_count) +
       config.drain;
   if (!config.faults.empty())
     horizon += config.faults.horizon_slack();

@@ -36,14 +36,16 @@ namespace cesrm::harness {
 /// re-designate (lms::LmsDirectory's repair delay in every LMS run).
 inline constexpr sim::SimTime kLmsRepairDelay = sim::SimTime::seconds(10);
 
+/// Session-only warm-up before the first data packet of every experiment
+/// (§4.3: receivers estimate distances before the transmission begins).
+/// Data flows over [kWarmup, kWarmup + period · packets).
+inline constexpr sim::SimTime kWarmup = sim::SimTime::seconds(5);
+
 struct ExperimentConfig {
   Protocol protocol = Protocol::kCesrm;
   cesrm::CesrmConfig cesrm;  ///< cesrm.srm also configures plain SRM runs
   net::NetworkConfig network;
   std::uint64_t seed = 1;
-  /// Session-only warm-up before the first data packet (§4.3: receivers
-  /// estimate distances before the transmission begins).
-  sim::SimTime warmup = sim::SimTime::seconds(5);
   /// Extra simulated time after the last data packet for recoveries of
   /// tail losses to complete.
   sim::SimTime drain = sim::SimTime::seconds(30);

@@ -125,10 +125,6 @@ obs::MetricsSnapshot merged_metrics(const std::vector<JobOutcome>& outcomes) {
 ExperimentRunner::ExperimentRunner(RunnerOptions options)
     : options_(std::move(options)) {}
 
-unsigned ExperimentRunner::worker_count() const {
-  return resolve_workers(options_.jobs);
-}
-
 std::vector<JobOutcome> ExperimentRunner::run(
     std::vector<ExperimentJob> jobs) {
   std::vector<JobOutcome> outcomes(jobs.size());

@@ -122,8 +122,6 @@ class ExperimentRunner {
       const std::vector<trace::TraceSpec>& specs);
 
   TraceCache& cache() { return cache_; }
-  /// The worker count this runner resolves to (options.jobs or hardware).
-  unsigned worker_count() const;
 
  private:
   RunnerOptions options_;

@@ -29,6 +29,15 @@ namespace {
 /// executes at most 9% more events than the mean at 2-4 shards.
 constexpr double kBalanceTolerance = 0.03;
 
+// The transmission every scale run sends: one data packet per kDataPeriod
+// from kScaleWarmup on (the scale path's own warm-up, not the experiments'
+// 5 s harness::kWarmup), one session round per block per kSessionPeriod,
+// and kDrain after the last packet for the tail recoveries.
+constexpr sim::SimTime kScaleWarmup = sim::SimTime::seconds(1);
+constexpr sim::SimTime kDataPeriod = sim::SimTime::millis(40);
+constexpr sim::SimTime kSessionPeriod = sim::SimTime::seconds(1);
+constexpr sim::SimTime kDrain = sim::SimTime::seconds(30);
+
 /// Expected events at each node of a scale run, from the traffic the run
 /// generates. Every flood (a data packet, its repair, and under SRM each
 /// losing block's own request) arrives once at every node but its
@@ -50,7 +59,7 @@ std::vector<double> node_load(const net::MulticastTree& tree,
       1.0 - std::pow(1.0 - config.member_loss,
                      static_cast<double>(config.block_members));
   double floods = 2.0 * packets;
-  double unicasts = packets * (config.period / config.session_period);
+  double unicasts = packets * (kDataPeriod / kSessionPeriod);
   if (config.protocol == Protocol::kCesrm)
     unicasts += packets * block_loss;
   else
@@ -162,8 +171,6 @@ std::vector<int> partition_tree(const net::MulticastTree& tree,
 }
 
 namespace {
-
-constexpr sim::SimTime kWarmup = sim::SimTime::seconds(1);
 
 /// The data source of a scale run: emits the transmission, answers repair
 /// requests. Root-attached, so it executes exclusively on shard 0's
@@ -307,8 +314,8 @@ ScaleResult run_scale(const ScaleConfig& config) {
   CESRM_CHECK(remaining == 0);
 
   const sim::SimTime data_end =
-      kWarmup + config.period * static_cast<std::int64_t>(config.packets);
-  const sim::SimTime horizon = data_end + config.drain;
+      kScaleWarmup + kDataPeriod * static_cast<std::int64_t>(config.packets);
+  const sim::SimTime horizon = data_end + kDrain;
 
   // --- pre-aggregated session traffic: one packet per block per period --
   // Each block's chain lives on its own shard's simulator and bumps only
@@ -319,27 +326,29 @@ ScaleResult run_scale(const ScaleConfig& config) {
     const net::NodeId leaf = block_agents[b]->node();
     sim::Simulator& bsim = sim_of(leaf);
     session_fns[b] = [&network, &bsim, &rounds, &session_fns, b, leaf, root,
-                      data_end, period = config.session_period] {
+                      data_end] {
       ++rounds[b];
       net::Packet p = net::make_session_packet(leaf, root, nullptr);
       p.dest = root;
       network.unicast(leaf, p);
-      if (bsim.now() + period <= data_end)
-        bsim.schedule_in(period, [&session_fns, b] { session_fns[b](); });
+      if (bsim.now() + kSessionPeriod <= data_end)
+        bsim.schedule_in(kSessionPeriod,
+                         [&session_fns, b] { session_fns[b](); });
     };
     // Stagger offsets deterministically across the period.
     const sim::SimTime offset = sim::SimTime::nanos(static_cast<std::int64_t>(
-        static_cast<std::uint64_t>(config.session_period.ns()) * b / blocks));
-    bsim.schedule_at(kWarmup + offset, [&session_fns, b] { session_fns[b](); });
+        static_cast<std::uint64_t>(kSessionPeriod.ns()) * b / blocks));
+    bsim.schedule_at(kScaleWarmup + offset,
+                     [&session_fns, b] { session_fns[b](); });
   }
 
   // --- the transmission -------------------------------------------------
   ChainedSource transmission(
-      root_sim, config.period, config.packets,
+      root_sim, kDataPeriod, config.packets,
       [&network, root](net::SeqNo seq) {
         network.multicast(root, net::make_data_packet(root, seq));
       });
-  transmission.start(kWarmup);
+  transmission.start(kScaleWarmup);
 
   const auto t0 = std::chrono::steady_clock::now();
   engine.run_until(horizon);

@@ -29,7 +29,6 @@
 
 #include "net/topology.hpp"
 #include "protocol.hpp"
-#include "sim/time.hpp"
 #include "srm/session_aggregate.hpp"
 
 namespace cesrm::harness {
@@ -43,15 +42,12 @@ struct ScaleConfig {
   std::uint32_t block_members = 100;
   int tree_depth = 6;
   net::SeqNo packets = 200;
-  sim::SimTime period = sim::SimTime::millis(40);
   /// Independent per-member last-hop loss probability.
   double member_loss = 0.01;
-  sim::SimTime session_period = sim::SimTime::seconds(1);
   std::uint64_t seed = 1;
   /// Event queues of the sharded engine, >= 1 (identical results for
   /// every count — the scale suite asserts it).
   int shards = 1;
-  sim::SimTime drain = sim::SimTime::seconds(30);
 };
 
 struct ScaleResult {

@@ -25,7 +25,6 @@ Network::Network(sim::Simulator& sim, const MulticastTree& tree,
       agents_(tree.size(), nullptr),
       busy_(tree.size(), {sim::SimTime::zero(), sim::SimTime::zero()}),
       link_up_(tree.size(), 1) {
-  CESRM_CHECK(config_.link_bandwidth_bps > 0.0);
   CESRM_CHECK(config_.link_delay > sim::SimTime::zero());
 }
 
@@ -88,7 +87,7 @@ sim::SimTime& Network::busy_until(NodeId from, NodeId to) {
 }
 
 sim::SimTime Network::serialization_time(int size_bytes) {
-  if (!config_.model_bandwidth || size_bytes <= 0) return sim::SimTime::zero();
+  if (size_bytes <= 0) return sim::SimTime::zero();
   // A sweep sees only a handful of distinct sizes (payload and control),
   // so a tiny linear-scan memo beats recomputing the division + rounding
   // on every hop of every packet. Sharded runs memoize per shard — the
@@ -99,7 +98,7 @@ sim::SimTime Network::serialization_time(int size_bytes) {
   for (const auto& [size, tx] : cache)
     if (size == size_bytes) return tx;
   const sim::SimTime tx = sim::SimTime::from_seconds(
-      static_cast<double>(size_bytes) * 8.0 / config_.link_bandwidth_bps);
+      static_cast<double>(size_bytes) * 8.0 / kLinkBandwidthBps);
   cache.emplace_back(size_bytes, tx);
   return tx;
 }

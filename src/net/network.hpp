@@ -1,7 +1,7 @@
 // network.hpp — the simulated IP multicast network.
 //
 // The Network marries the MulticastTree topology to store-and-forward
-// links (propagation delay + serialization at a configured bandwidth with
+// links (propagation delay + serialization at the paper's 1.5 Mbps with
 // per-direction FIFO queueing) and provides the three delivery primitives
 // the protocols need:
 //
@@ -57,12 +57,12 @@ struct Perturbation {
 using PerturbFn =
     std::function<Perturbation(const Packet& pkt, NodeId from, NodeId to)>;
 
+/// Every link's bandwidth: the paper's 1 KB payloads serialize on
+/// 1.5 Mbps links (§4.3).
+inline constexpr double kLinkBandwidthBps = 1.5e6;
+
 struct NetworkConfig {
-  double link_bandwidth_bps = 1.5e6;       ///< 1.5 Mbps (§4.3)
   sim::SimTime link_delay = sim::SimTime::millis(20);  ///< per-link, one-way, > 0
-  /// When false, serialization time is ignored (pure-delay links); the
-  /// default models the paper's 1 KB payloads on 1.5 Mbps links.
-  bool model_bandwidth = true;
 };
 
 /// Link-crossing counters, indexed by PacketType.
@@ -217,9 +217,9 @@ class Network : public Transport {
   /// the edge `from`→`to` now, advancing the edge's busy horizon.
   sim::SimTime transmit(NodeId from, NodeId to, int size_bytes);
 
-  /// Serialization delay of a `size_bytes` packet on a configured link;
-  /// memoized per distinct size (the sweep uses only a couple of sizes,
-  /// and the division-plus-round is hot on every hop of every packet).
+  /// Serialization delay of a `size_bytes` packet on a link; memoized
+  /// per distinct size (the sweep uses only a couple of sizes, and the
+  /// division-plus-round is hot on every hop of every packet).
   sim::SimTime serialization_time(int size_bytes);
 
   /// Per-direction busy horizon: index [child][0]=down (parent→child),

@@ -38,6 +38,13 @@ const char* anomaly_kind_name(AnomalyKind kind) {
 
 namespace {
 
+// Anomaly thresholds, deliberately loose: they flag pathologies, not
+// noise.
+constexpr int kRequestImplosionLimit = 8;  ///< group requests per loss
+constexpr int kReplyImplosionLimit = 4;    ///< group repairs per loss
+constexpr double kInversionMultiplier = 1.5;  ///< × reactive median latency
+constexpr double kTailMultiplier = 8.0;       ///< × overall median latency
+
 using LossKey = std::tuple<net::NodeId, net::NodeId, net::SeqNo>;
 using GroupKey = std::pair<net::NodeId, net::SeqNo>;  // (source, seq)
 
@@ -211,8 +218,7 @@ std::string implosion_note(const char* what, int count, int limit) {
 
 }  // namespace
 
-CausalReport analyze_causal(std::span<const TraceEvent> events,
-                            const AnomalyConfig& config) {
+CausalReport analyze_causal(std::span<const TraceEvent> events) {
   CausalReport report;
   report.timeline = reconstruct_timeline(events);
   const EventIndex ix = build_index(events);
@@ -264,18 +270,18 @@ CausalReport analyze_causal(std::span<const TraceEvent> events,
   std::set<GroupKey> flagged_req, flagged_rep;
   for (const CausalChain& c : report.chains) {
     const GroupKey g{c.lifecycle.source, c.lifecycle.seq};
-    if (c.group_requests >= config.request_implosion &&
+    if (c.group_requests >= kRequestImplosionLimit &&
         flagged_req.insert(g).second)
       flag(AnomalyKind::kRequestImplosion, c.lifecycle.node, g.first, g.second,
-           c.group_requests, config.request_implosion,
+           c.group_requests, kRequestImplosionLimit,
            implosion_note("multicast requests", c.group_requests,
-                          config.request_implosion));
-    if (c.group_replies >= config.reply_implosion &&
+                          kRequestImplosionLimit));
+    if (c.group_replies >= kReplyImplosionLimit &&
         flagged_rep.insert(g).second)
       flag(AnomalyKind::kReplyImplosion, c.lifecycle.node, g.first, g.second,
-           c.group_replies, config.reply_implosion,
+           c.group_replies, kReplyImplosionLimit,
            implosion_note("repairs", c.group_replies,
-                          config.reply_implosion));
+                          kReplyImplosionLimit));
   }
 
   // Zombie recoveries: a loss still open when the stream ended at a member
@@ -295,7 +301,7 @@ CausalReport analyze_causal(std::span<const TraceEvent> events,
   // and STILL came in slower than the reactive median — the cached pair
   // pointed somewhere worse than the plain SRM race.
   if (report.median_reactive_latency_ns > 0) {
-    const double limit = config.inversion_multiplier *
+    const double limit = kInversionMultiplier *
                          static_cast<double>(report.median_reactive_latency_ns);
     for (const CausalChain& c : report.chains) {
       if (!c.lifecycle.expedited || c.cache != CacheConsult::kHit) continue;
@@ -314,13 +320,13 @@ CausalReport analyze_causal(std::span<const TraceEvent> events,
 
   // Tail outliers against the overall median.
   if (report.median_latency_ns > 0) {
-    const double limit = config.tail_multiplier *
+    const double limit = kTailMultiplier *
                          static_cast<double>(report.median_latency_ns);
     for (const CausalChain& c : report.chains) {
       if (static_cast<double>(c.latency_ns) <= limit) continue;
       std::ostringstream note;
       note << "latency " << static_cast<double>(c.latency_ns) / 1e6
-           << " ms is over " << config.tail_multiplier << "x the median";
+           << " ms is over " << kTailMultiplier << "x the median";
       flag(AnomalyKind::kTailOutlier, c.lifecycle.node, c.lifecycle.source,
            c.lifecycle.seq, static_cast<double>(c.latency_ns), limit,
            note.str());

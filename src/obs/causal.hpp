@@ -97,15 +97,6 @@ inline constexpr std::size_t kAnomalyKindCount =
 /// Stable snake_case anomaly name.
 const char* anomaly_kind_name(AnomalyKind kind);
 
-/// Detector thresholds. Defaults are deliberately loose: they flag
-/// pathologies, not noise.
-struct AnomalyConfig {
-  int request_implosion = 8;       ///< group requests per loss
-  int reply_implosion = 4;         ///< group repairs per loss
-  double inversion_multiplier = 1.5;  ///< × reactive median latency
-  double tail_multiplier = 8.0;       ///< × overall median latency
-};
-
 /// One flagged pathology, pointing at the loss that exhibits it.
 struct Anomaly {
   AnomalyKind kind = AnomalyKind::kCount;
@@ -128,8 +119,7 @@ struct CausalReport {
 
 /// Folds one run's event stream (emission order) into chains and runs the
 /// anomaly detectors.
-CausalReport analyze_causal(std::span<const TraceEvent> events,
-                            const AnomalyConfig& config = {});
+CausalReport analyze_causal(std::span<const TraceEvent> events);
 
 /// Machine-readable report: {"schema":"cesrm.causal.v1","summary":{...},
 /// "chains":[...],"anomalies":[...]}. All durations are integer ns —

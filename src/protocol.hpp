@@ -31,7 +31,6 @@ constexpr const char* protocol_name(Protocol p) {
 
 namespace detail {
 inline constexpr util::EnumNames<Protocol, 3> kProtocolNames{
-    "protocol",
     {{{Protocol::kSrm, "srm"}, {Protocol::kCesrm, "cesrm"},
       {Protocol::kLms, "lms"}}}};
 }  // namespace detail
@@ -45,12 +44,6 @@ inline const char* protocol_names() {
 /// Parses "srm" / "cesrm" / "lms"; nullopt otherwise.
 inline std::optional<Protocol> try_parse_protocol(const std::string& name) {
   return detail::kProtocolNames.try_parse(name);
-}
-
-/// Parses "srm" / "cesrm" / "lms"; throws util::CheckError listing the
-/// valid spellings otherwise.
-inline Protocol parse_protocol(const std::string& name) {
-  return detail::kProtocolNames.parse(name);
 }
 
 }  // namespace cesrm

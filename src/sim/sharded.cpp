@@ -146,16 +146,4 @@ std::uint64_t ShardedEngine::events_executed() const {
   return n;
 }
 
-std::uint64_t ShardedEngine::events_scheduled() const {
-  std::uint64_t n = 0;
-  for (const auto& s : sims_) n += s->events_scheduled();
-  return n;
-}
-
-std::uint64_t ShardedEngine::events_cancelled() const {
-  std::uint64_t n = 0;
-  for (const auto& s : sims_) n += s->events_cancelled();
-  return n;
-}
-
 }  // namespace cesrm::sim

@@ -91,8 +91,6 @@ class ShardedEngine {
 
   // --- aggregate diagnostics (valid after run_until) ---
   std::uint64_t events_executed() const;
-  std::uint64_t events_scheduled() const;
-  std::uint64_t events_cancelled() const;
   std::uint64_t windows_run() const { return windows_; }
   std::uint64_t cross_shard_posts() const { return posts_; }
 

@@ -29,12 +29,6 @@ void AdaptiveController::observe_duplicates(double duplicates) {
   adjust();
 }
 
-void AdaptiveController::observe_delay(double normalized_delay) {
-  update_delay(normalized_delay);
-  ++observations_;
-  adjust();
-}
-
 void AdaptiveController::update_dup(double duplicates) {
   if (dup_samples_++ == 0)
     ave_dup_ = duplicates;

@@ -53,11 +53,9 @@ class AdaptiveController {
   /// timer contributed, then adjusts the parameters.
   void observe(double duplicates, double normalized_delay);
 
-  /// Partial observations: update only one of the two averages (used when
-  /// an exchange yields a duplicate count but this host sent nothing, or a
-  /// delay sample without a completed exchange), then adjust.
+  /// Partial observation: updates only the duplicate average (an exchange
+  /// yielded a duplicate count but this host sent nothing), then adjusts.
   void observe_duplicates(double duplicates);
-  void observe_delay(double normalized_delay);
 
   double average_duplicates() const { return ave_dup_; }
   double average_delay() const { return ave_delay_; }

@@ -48,8 +48,4 @@ bool DistanceTable::has_estimate(net::NodeId peer) const {
   return distance_.count(peer) != 0;
 }
 
-void DistanceTable::set_distance(net::NodeId peer, double seconds) {
-  distance_[peer] = seconds;
-}
-
 }  // namespace cesrm::srm

@@ -41,9 +41,6 @@ class DistanceTable {
   double distance(net::NodeId peer, double fallback = 0.0) const;
   bool has_estimate(net::NodeId peer) const;
 
-  /// Overrides the estimate (oracle mode and tests).
-  void set_distance(net::NodeId peer, double seconds);
-
   std::size_t known_peers() const { return last_heard_.size(); }
 
  private:

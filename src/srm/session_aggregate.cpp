@@ -59,13 +59,4 @@ std::vector<SessionSummary> flat_reference(
   return out;
 }
 
-std::uint64_t aggregated_session_packets(const net::MulticastTree& tree) {
-  return static_cast<std::uint64_t>(tree.link_count());
-}
-
-std::uint64_t flat_session_packets(const net::MulticastTree& tree,
-                                   std::uint64_t members) {
-  return members * static_cast<std::uint64_t>(tree.link_count());
-}
-
 }  // namespace cesrm::srm

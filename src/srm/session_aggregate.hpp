@@ -62,13 +62,4 @@ std::vector<SessionSummary> flat_reference(
     const net::MulticastTree& tree,
     const std::vector<SessionSummary>& leaf_summary);
 
-/// Session packets per period under hierarchical aggregation: one summary
-/// crosses each tree edge upstream — O(tree nodes).
-std::uint64_t aggregated_session_packets(const net::MulticastTree& tree);
-
-/// Session packets per period under flat SRM: every member's session
-/// message floods every tree edge — O(members × links).
-std::uint64_t flat_session_packets(const net::MulticastTree& tree,
-                                   std::uint64_t members);
-
 }  // namespace cesrm::srm

@@ -33,12 +33,15 @@ const TraceSpec& table1_spec(int id) {
   return specs[static_cast<std::size_t>(id - 1)];
 }
 
-const TraceSpec& table1_spec_by_name(const std::string& name) {
-  for (const auto& spec : table1_specs())
-    if (spec.name == name) return spec;
-  CESRM_CHECK_MSG(false, "unknown trace name: " << name);
-  // Unreachable; CHECK above throws.
-  return table1_specs().front();
+TraceSpec capped_spec(const TraceSpec& spec, std::int64_t packets_cap) {
+  if (packets_cap <= 0 || packets_cap >= spec.packets) return spec;
+  TraceSpec scaled = spec;
+  const double scale = static_cast<double>(packets_cap) /
+                       static_cast<double>(spec.packets);
+  scaled.packets = packets_cap;
+  scaled.losses = static_cast<std::int64_t>(
+      static_cast<double>(spec.losses) * scale);
+  return scaled;
 }
 
 }  // namespace cesrm::trace

@@ -43,7 +43,10 @@ const std::vector<TraceSpec>& table1_specs();
 /// Looks up a spec by 1-based id; CHECK-fails if out of range.
 const TraceSpec& table1_spec(int id);
 
-/// Looks up a spec by name; CHECK-fails if unknown.
-const TraceSpec& table1_spec_by_name(const std::string& name);
+/// Caps `spec` at `packets_cap` packets, scaling the published loss budget
+/// proportionally (so loss *rates* are preserved); a cap <= 0 or at least
+/// the spec's length returns it unchanged. The --packets-cap of every
+/// bench, example and cesrm_cli generate.
+TraceSpec capped_spec(const TraceSpec& spec, std::int64_t packets_cap);
 
 }  // namespace cesrm::trace

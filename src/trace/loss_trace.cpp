@@ -67,12 +67,6 @@ double LossTrace::loss_rate() const {
   return cells > 0 ? static_cast<double>(total_losses()) / cells : 0.0;
 }
 
-std::uint64_t LossTrace::lossy_packets() const {
-  std::uint64_t n = 0;
-  for (const LossPattern p : patterns_) n += p != 0;
-  return n;
-}
-
 std::map<LossPattern, std::uint64_t> LossTrace::pattern_histogram() const {
   std::map<LossPattern, std::uint64_t> hist;
   for (const LossPattern p : patterns_)

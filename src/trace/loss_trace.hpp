@@ -69,9 +69,6 @@ class LossTrace {
   /// Fraction of (receiver, packet) cells lost.
   double loss_rate() const;
 
-  /// Number of packets lost by at least one receiver.
-  std::uint64_t lossy_packets() const;
-
   /// Frequency of each non-empty loss pattern.
   std::map<LossPattern, std::uint64_t> pattern_histogram() const;
 

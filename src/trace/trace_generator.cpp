@@ -13,6 +13,18 @@ namespace cesrm::trace {
 
 namespace {
 
+// The synthetic loss processes: MBone-like bursty, spatially
+// heterogeneous losses.
+constexpr double kMinBaseRate = 0.002;   ///< log-uniform base rate bounds
+constexpr double kMaxBaseRate = 0.05;
+constexpr double kHotLinkFraction = 0.2; ///< links boosted ×kHotBoost
+constexpr double kHotBoost = 4.0;
+constexpr double kMinBurst = 1.5;        ///< mean burst length bounds
+constexpr double kMaxBurst = 8.0;
+constexpr double kLossTolerance = 0.02;  ///< relative calibration tolerance
+constexpr int kMaxCalibrationIters = 40;
+constexpr int kMaxBranching = 4;         ///< tree bushiness cap
+
 /// Everything fixed once per spec: tree, per-link base parameters, and the
 /// per-link RNG seeds (identical across calibration iterations so that the
 /// loss count is a stable function of the multiplier).
@@ -24,13 +36,12 @@ struct Blueprint {
   std::vector<net::NodeId> bfs_order;  // parents before children
 };
 
-Blueprint make_blueprint(const TraceSpec& spec, const GeneratorConfig& cfg,
-                         util::Rng& rng) {
+Blueprint make_blueprint(const TraceSpec& spec, util::Rng& rng) {
   Blueprint bp;
   net::TreeShape shape;
   shape.receivers = spec.receivers;
   shape.depth = spec.depth;
-  shape.max_branching = cfg.max_branching;
+  shape.max_branching = kMaxBranching;
   bp.tree = std::make_shared<net::MulticastTree>(
       net::build_random_tree(shape, rng));
 
@@ -38,14 +49,14 @@ Blueprint make_blueprint(const TraceSpec& spec, const GeneratorConfig& cfg,
   bp.base_rate.assign(n, 0.0);
   bp.mean_burst.assign(n, 1.0);
   bp.link_seed.assign(n, 0);
-  const double ln_lo = std::log(cfg.min_base_rate);
-  const double ln_hi = std::log(cfg.max_base_rate);
+  const double ln_lo = std::log(kMinBaseRate);
+  const double ln_hi = std::log(kMaxBaseRate);
   for (net::LinkId l : bp.tree->links()) {
     const auto li = static_cast<std::size_t>(l);
     bp.base_rate[li] = std::exp(rng.uniform(ln_lo, ln_hi));
-    if (rng.bernoulli(cfg.hot_link_fraction))
-      bp.base_rate[li] *= cfg.hot_boost;
-    bp.mean_burst[li] = rng.uniform(cfg.min_burst, cfg.max_burst);
+    if (rng.bernoulli(kHotLinkFraction))
+      bp.base_rate[li] *= kHotBoost;
+    bp.mean_burst[li] = rng.uniform(kMinBurst, kMaxBurst);
     bp.link_seed[li] = rng.next_u64();
   }
 
@@ -163,15 +174,13 @@ GeneratedTrace emit_trace(const TraceSpec& spec, const Blueprint& bp,
 
 }  // namespace
 
-GeneratedTrace generate_trace(const TraceSpec& spec,
-                              const GeneratorConfig& config) {
+GeneratedTrace generate_trace(const TraceSpec& spec) {
   CESRM_CHECK(spec.packets > 0);
   CESRM_CHECK(spec.receivers >= 1);
   util::Rng rng(spec.seed);
-  const Blueprint bp = make_blueprint(spec, config, rng);
+  const Blueprint bp = make_blueprint(spec, rng);
 
   const auto target = static_cast<double>(spec.losses);
-  const double tol = config.loss_tolerance;
   const auto below = [&](const Pass& p) {
     return static_cast<double>(p.losses) < target;
   };
@@ -204,7 +213,8 @@ GeneratedTrace generate_trace(const TraceSpec& spec,
   double mu_hi = hi.mu;
   Pass best = std::move(hi);
   if (error(lo) < error(best)) best = std::move(lo);
-  while (iters < config.max_calibration_iters && error(best) / target > tol) {
+  while (iters < kMaxCalibrationIters &&
+         error(best) / target > kLossTolerance) {
     const double mid = 0.5 * (mu_lo + mu_hi);
     Pass pass = run_processes(spec, bp, mid);
     ++iters;
@@ -222,10 +232,6 @@ GeneratedTrace generate_trace(const TraceSpec& spec,
                  << " generated=" << best.losses << " mu=" << best.mu
                  << " iters=" << iters;
   return out;
-}
-
-GeneratedTrace generate_table1_trace(int id, const GeneratorConfig& config) {
-  return generate_trace(table1_spec(id), config);
 }
 
 }  // namespace cesrm::trace

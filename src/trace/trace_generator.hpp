@@ -23,20 +23,6 @@
 
 namespace cesrm::trace {
 
-/// Knobs for the synthetic loss processes; defaults give MBone-like
-/// bursty, spatially heterogeneous losses.
-struct GeneratorConfig {
-  double min_base_rate = 0.002;   ///< log-uniform base rate lower bound
-  double max_base_rate = 0.05;    ///< log-uniform base rate upper bound
-  double hot_link_fraction = 0.2; ///< fraction of links boosted ×hot_boost
-  double hot_boost = 4.0;
-  double min_burst = 1.5;         ///< mean burst length bounds
-  double max_burst = 8.0;
-  double loss_tolerance = 0.02;   ///< relative calibration tolerance
-  int max_calibration_iters = 40;
-  int max_branching = 4;          ///< tree bushiness cap
-};
-
 /// A generated trace plus ground truth for inference validation.
 struct GeneratedTrace {
   std::shared_ptr<LossTrace> loss;
@@ -54,11 +40,6 @@ struct GeneratedTrace {
 };
 
 /// Generates the trace for `spec`. Deterministic in spec.seed.
-GeneratedTrace generate_trace(const TraceSpec& spec,
-                              const GeneratorConfig& config = {});
-
-/// Convenience: generate Table-1 trace `id` (1-based).
-GeneratedTrace generate_table1_trace(int id,
-                                     const GeneratorConfig& config = {});
+GeneratedTrace generate_trace(const TraceSpec& spec);
 
 }  // namespace cesrm::trace

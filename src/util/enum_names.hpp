@@ -1,17 +1,17 @@
 // enum_names.hpp — one shared spelling table for CLI-facing enums.
 //
 // Every enum that crosses a command-line flag (expedition policy, cache
-// policy, protocol, ...) wants the same four operations: value → name,
-// the comma-joined list of accepted spellings for --help text, a lenient
-// parse returning nullopt, and a strict parse that throws CheckError with
-// a uniform "unknown <what> '<spelling>' (valid: ...)" message. Declare
-// the table once and get all four:
+// policy, protocol, ...) wants the same three operations: value → name,
+// the comma-joined list of accepted spellings for --help text and errors,
+// and a parse returning nullopt on an unknown spelling, so the front end
+// can print "bad --flag: 'x' (valid: ...)" and exit 1. Declare the table
+// once and get all three:
 //
 //   constexpr util::EnumNames<Color, 2> kColorNames{
-//       "color", {{{Color::kRed, "red"}, {Color::kBlue, "blue"}}}};
-//   kColorNames.name(Color::kRed);   // "red"
-//   kColorNames.parse("mauve");      // throws: unknown color 'mauve'
-//                                    //   (valid: red, blue)
+//       {{{Color::kRed, "red"}, {Color::kBlue, "blue"}}}};
+//   kColorNames.name(Color::kRed);      // "red"
+//   kColorNames.try_parse("mauve");     // nullopt
+//   kColorNames.joined_names();         // "red, blue"
 #pragma once
 
 #include <array>
@@ -19,8 +19,6 @@
 #include <optional>
 #include <string>
 #include <string_view>
-
-#include "util/check.hpp"
 
 namespace cesrm::util {
 
@@ -35,9 +33,8 @@ class EnumNames {
  public:
   static_assert(N >= 1, "an enum spelling table cannot be empty");
 
-  constexpr EnumNames(const char* what,
-                      std::array<EnumSpelling<E>, N> spellings)
-      : what_(what), spellings_(spellings) {}
+  constexpr explicit EnumNames(std::array<EnumSpelling<E>, N> spellings)
+      : spellings_(spellings) {}
 
   /// The canonical spelling of `value` ("?" for values not in the table).
   constexpr const char* name(E value) const {
@@ -63,21 +60,7 @@ class EnumNames {
     return std::nullopt;
   }
 
-  /// Parses a spelling; throws util::CheckError listing the valid
-  /// spellings otherwise (CLI front-ends catch it and print `error: ...`).
-  E parse(std::string_view name) const {
-    if (auto value = try_parse(name)) return *value;
-    throw CheckError("unknown " + std::string(what_) + " '" +
-                     std::string(name) + "' (valid: " + joined_names() + ")");
-  }
-
-  constexpr std::size_t size() const { return N; }
-  constexpr const std::array<EnumSpelling<E>, N>& spellings() const {
-    return spellings_;
-  }
-
  private:
-  const char* what_;  ///< noun used in parse errors, e.g. "cache policy"
   std::array<EnumSpelling<E>, N> spellings_;
 };
 

@@ -16,7 +16,6 @@ std::atomic<LogLevel> g_threshold{LogLevel::kWarn};
 std::mutex g_emit_mutex;
 
 constexpr EnumNames<LogLevel, 6> kLogLevelNames{
-    "log level",
     {{{LogLevel::kTrace, "trace"},
       {LogLevel::kDebug, "debug"},
       {LogLevel::kInfo, "info"},
@@ -28,10 +27,6 @@ constexpr EnumNames<LogLevel, 6> kLogLevelNames{
 LogLevel log_threshold() { return g_threshold.load(std::memory_order_relaxed); }
 void set_log_threshold(LogLevel level) {
   g_threshold.store(level, std::memory_order_relaxed);
-}
-
-LogLevel parse_log_level(const std::string& name) {
-  return kLogLevelNames.try_parse(name).value_or(LogLevel::kWarn);
 }
 
 std::optional<LogLevel> try_parse_log_level(const std::string& name) {

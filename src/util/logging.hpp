@@ -20,12 +20,9 @@ enum class LogLevel : int { kTrace = 0, kDebug, kInfo, kWarn, kError, kOff };
 LogLevel log_threshold();
 void set_log_threshold(LogLevel level);
 
-/// Parses "trace"/"debug"/"info"/"warn"/"error"/"off"; defaults to kWarn.
-LogLevel parse_log_level(const std::string& name);
-
-/// Strict parse: nullopt on an unknown spelling, so CLI front-ends can
-/// name the flag and list log_level_spellings() instead of silently
-/// falling back to kWarn.
+/// Parses "trace"/"debug"/"info"/"warn"/"error"/"off"; nullopt on an
+/// unknown spelling, so CLI front-ends can name the flag and list
+/// log_level_spellings().
 std::optional<LogLevel> try_parse_log_level(const std::string& name);
 
 /// "trace, debug, info, warn, error, off" — for flag help and errors.

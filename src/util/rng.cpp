@@ -1,7 +1,5 @@
 #include "util/rng.hpp"
 
-#include <cmath>
-
 #include "util/check.hpp"
 
 namespace cesrm::util {
@@ -35,41 +33,6 @@ std::int64_t Rng::uniform_int(std::int64_t lo, std::int64_t hi) {
 double Rng::uniform(double lo, double hi) {
   CESRM_CHECK(lo <= hi);
   return lo + (hi - lo) * next_double();
-}
-
-double Rng::exponential(double mean) {
-  CESRM_CHECK(mean > 0.0);
-  double u = next_double();
-  while (u <= 0.0) u = next_double();
-  return -mean * std::log(u);
-}
-
-double Rng::normal(double mean, double stddev) {
-  double u1 = next_double();
-  while (u1 <= 0.0) u1 = next_double();
-  const double u2 = next_double();
-  const double z = std::sqrt(-2.0 * std::log(u1)) *
-                   std::cos(2.0 * 3.14159265358979323846 * u2);
-  return mean + stddev * z;
-}
-
-std::size_t Rng::weighted_index(const std::vector<double>& weights) {
-  CESRM_CHECK(!weights.empty());
-  double total = 0.0;
-  for (double w : weights) {
-    CESRM_CHECK(w >= 0.0);
-    total += w;
-  }
-  CESRM_CHECK(total > 0.0);
-  double x = uniform(0.0, total);
-  for (std::size_t i = 0; i < weights.size(); ++i) {
-    if (x < weights[i]) return i;
-    x -= weights[i];
-  }
-  // Floating-point edge: land on the last positive weight.
-  for (std::size_t i = weights.size(); i-- > 0;)
-    if (weights[i] > 0.0) return i;
-  return weights.size() - 1;
 }
 
 Rng Rng::fork(std::uint64_t tag) {

@@ -60,16 +60,6 @@ class Rng {
     return next_double() < p;
   }
 
-  /// Exponentially distributed value with the given mean (> 0).
-  double exponential(double mean);
-
-  /// Standard-normal variate (Box–Muller; no cached spare, keeps state flat).
-  double normal(double mean = 0.0, double stddev = 1.0);
-
-  /// Picks an index in [0, weights.size()) with probability proportional
-  /// to weights[i]; all weights must be >= 0 and at least one positive.
-  std::size_t weighted_index(const std::vector<double>& weights);
-
   /// Derives an independent child generator. Forks from the same parent
   /// with different tags yield decorrelated streams.
   Rng fork(std::uint64_t tag);

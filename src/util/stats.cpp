@@ -20,7 +20,6 @@ void OnlineStats::add(double x) {
   ++n_;
   const double delta = x - mean_;
   mean_ += delta / static_cast<double>(n_);
-  m2_ += delta * (x - mean_);
 }
 
 void OnlineStats::merge(const OnlineStats& other) {
@@ -34,18 +33,10 @@ void OnlineStats::merge(const OnlineStats& other) {
   const double delta = other.mean_ - mean_;
   const double total = na + nb;
   mean_ += delta * nb / total;
-  m2_ += other.m2_ + delta * delta * na * nb / total;
   min_ = std::min(min_, other.min_);
   max_ = std::max(max_, other.max_);
   n_ += other.n_;
 }
-
-double OnlineStats::variance() const {
-  if (n_ < 2) return 0.0;
-  return m2_ / static_cast<double>(n_ - 1);
-}
-
-double OnlineStats::stddev() const { return std::sqrt(variance()); }
 
 void Sample::add(double x) {
   values_.push_back(x);
@@ -61,22 +52,9 @@ double Sample::sum() const {
   return std::accumulate(values_.begin(), values_.end(), 0.0);
 }
 
-double Sample::min() const {
-  CESRM_CHECK(!values_.empty());
-  return *std::min_element(values_.begin(), values_.end());
-}
-
 double Sample::max() const {
   CESRM_CHECK(!values_.empty());
   return *std::max_element(values_.begin(), values_.end());
-}
-
-double Sample::stddev() const {
-  if (values_.size() < 2) return 0.0;
-  const double m = mean();
-  double m2 = 0.0;
-  for (double v : values_) m2 += (v - m) * (v - m);
-  return std::sqrt(m2 / static_cast<double>(values_.size() - 1));
 }
 
 void Sample::ensure_sorted() const {
@@ -96,27 +74,6 @@ double Sample::percentile(double q) const {
   const std::size_t hi = std::min(lo + 1, sorted_.size() - 1);
   const double frac = rank - static_cast<double>(lo);
   return sorted_[lo] * (1.0 - frac) + sorted_[hi] * frac;
-}
-
-std::string Sample::summary_json() const {
-  std::ostringstream os;
-  os << "{\"count\":" << values_.size();
-  os << ",\"mean\":";
-  json_double(os, mean());
-  os << ",\"min\":";
-  json_double(os, empty() ? 0.0 : min());
-  os << ",\"max\":";
-  json_double(os, empty() ? 0.0 : max());
-  os << ",\"stddev\":";
-  json_double(os, stddev());
-  os << ",\"p50\":";
-  json_double(os, empty() ? 0.0 : percentile(50.0));
-  os << ",\"p90\":";
-  json_double(os, empty() ? 0.0 : percentile(90.0));
-  os << ",\"p99\":";
-  json_double(os, empty() ? 0.0 : percentile(99.0));
-  os << "}";
-  return os.str();
 }
 
 Histogram::Histogram(double lo, double hi, std::size_t buckets)
@@ -147,35 +104,6 @@ void Histogram::merge(const Histogram& other) {
   total_ += other.total_;
   underflow_ += other.underflow_;
   overflow_ += other.overflow_;
-}
-
-double Histogram::bucket_lo(std::size_t i) const {
-  const double width = (hi_ - lo_) / static_cast<double>(counts_.size());
-  return lo_ + width * static_cast<double>(i);
-}
-
-double Histogram::bucket_hi(std::size_t i) const {
-  return bucket_lo(i + 1);
-}
-
-std::string Histogram::to_string(std::size_t bar_width) const {
-  std::ostringstream os;
-  std::uint64_t peak = 0;
-  for (auto c : counts_) peak = std::max(peak, c);
-  for (std::size_t i = 0; i < counts_.size(); ++i) {
-    os.setf(std::ios::fixed);
-    os.precision(3);
-    os << "[" << bucket_lo(i) << ", " << bucket_hi(i) << ") "
-       << counts_[i] << " ";
-    if (peak > 0) {
-      const auto bar = static_cast<std::size_t>(
-          static_cast<double>(counts_[i]) / static_cast<double>(peak) *
-          static_cast<double>(bar_width));
-      for (std::size_t b = 0; b < bar; ++b) os << '#';
-    }
-    os << '\n';
-  }
-  return os.str();
 }
 
 std::string Histogram::to_json() const {

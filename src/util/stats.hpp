@@ -1,10 +1,10 @@
 // stats.hpp — online and batch statistics used by the experiment harness.
 //
-// OnlineStats accumulates mean/variance/extrema in O(1) space (Welford's
-// algorithm). Sample keeps the raw values for percentile queries — trace
+// OnlineStats accumulates mean and extrema in O(1) space (Welford's
+// running mean). Sample keeps the raw values for percentile queries — trace
 // experiments hold at most a few hundred thousand recovery records, so the
 // memory cost is negligible. Histogram buckets values on a fixed linear
-// grid for distribution printing in benches.
+// grid for the metrics snapshots.
 #pragma once
 
 #include <cstddef>
@@ -14,7 +14,7 @@
 
 namespace cesrm::util {
 
-/// Streaming mean / variance / min / max accumulator (Welford).
+/// Streaming mean / min / max accumulator (Welford's running mean).
 class OnlineStats {
  public:
   void add(double x);
@@ -25,9 +25,6 @@ class OnlineStats {
   bool empty() const { return n_ == 0; }
   /// Mean of the observations; 0 when empty.
   double mean() const { return n_ ? mean_ : 0.0; }
-  /// Unbiased sample variance; 0 with fewer than two observations.
-  double variance() const;
-  double stddev() const;
   double min() const { return n_ ? min_ : 0.0; }
   double max() const { return n_ ? max_ : 0.0; }
   double sum() const { return n_ ? mean_ * static_cast<double>(n_) : 0.0; }
@@ -35,7 +32,6 @@ class OnlineStats {
  private:
   std::size_t n_ = 0;
   double mean_ = 0.0;
-  double m2_ = 0.0;
   double min_ = 0.0;
   double max_ = 0.0;
 };
@@ -49,20 +45,13 @@ class Sample {
   std::size_t count() const { return values_.size(); }
   bool empty() const { return values_.empty(); }
   double mean() const;
-  double min() const;
   double max() const;
   double sum() const;
-  double stddev() const;
 
   /// Exact percentile by linear interpolation between order statistics.
   /// `q` in [0, 100]. Requires a non-empty sample.
   double percentile(double q) const;
   double median() const { return percentile(50.0); }
-
-  /// JSON summary object (count/mean/min/max/stddev/p50/p90/p99) — the
-  /// machine-readable companion every exporter shares (util/json.hpp
-  /// formatting, so it splices into harness/reports.cpp documents).
-  std::string summary_json() const;
 
   const std::vector<double>& values() const { return values_; }
 
@@ -85,8 +74,6 @@ class Histogram {
   void add(double x);
   std::size_t bucket_count() const { return counts_.size(); }
   std::uint64_t bucket(std::size_t i) const { return counts_.at(i); }
-  double bucket_lo(std::size_t i) const;
-  double bucket_hi(std::size_t i) const;
   std::uint64_t total() const { return total_; }
   double lo() const { return lo_; }
   double hi() const { return hi_; }
@@ -101,9 +88,6 @@ class Histogram {
   /// Bucket-wise accumulation of an identically-gridded histogram
   /// (parallel-runner metric merging). CHECK-fails on a grid mismatch.
   void merge(const Histogram& other);
-
-  /// Multi-line ASCII rendering (one row per bucket with a proportional bar).
-  std::string to_string(std::size_t bar_width = 40) const;
 
   /// JSON object: grid, bucket counts, total, and the under/overflow
   /// tallies (util/json.hpp formatting, shared with harness/reports.cpp).

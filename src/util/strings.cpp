@@ -46,11 +46,6 @@ bool starts_with(std::string_view s, std::string_view prefix) {
   return s.size() >= prefix.size() && s.substr(0, prefix.size()) == prefix;
 }
 
-bool ends_with(std::string_view s, std::string_view suffix) {
-  return s.size() >= suffix.size() &&
-         s.substr(s.size() - suffix.size()) == suffix;
-}
-
 std::optional<std::int64_t> parse_int(std::string_view s) {
   s = trim(s);
   if (s.empty()) return std::nullopt;
@@ -72,15 +67,6 @@ std::optional<double> parse_double(std::string_view s) {
   const double value = std::strtod(copy.c_str(), &endp);
   if (endp != copy.c_str() + copy.size()) return std::nullopt;
   return value;
-}
-
-std::string join(const std::vector<std::string>& parts, std::string_view sep) {
-  std::string out;
-  for (std::size_t i = 0; i < parts.size(); ++i) {
-    if (i) out.append(sep);
-    out.append(parts[i]);
-  }
-  return out;
 }
 
 std::string fmt_fixed(double v, int digits) {

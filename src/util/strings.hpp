@@ -20,14 +20,10 @@ std::vector<std::string> split_ws(std::string_view s);
 std::string_view trim(std::string_view s);
 
 bool starts_with(std::string_view s, std::string_view prefix);
-bool ends_with(std::string_view s, std::string_view suffix);
 
 /// Strict integer / double parsing: the whole trimmed token must parse.
 std::optional<std::int64_t> parse_int(std::string_view s);
 std::optional<double> parse_double(std::string_view s);
-
-/// Joins `parts` with `sep`.
-std::string join(const std::vector<std::string>& parts, std::string_view sep);
 
 /// Formats a double with `digits` fixed decimals (report helper).
 std::string fmt_fixed(double v, int digits);

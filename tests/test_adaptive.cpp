@@ -76,8 +76,9 @@ TEST(AdaptiveController, EwmaTracksRecentObservations) {
   EXPECT_DOUBLE_EQ(c.average_duplicates(), 4.0);  // first sets directly
   c.observe_duplicates(0.0);
   EXPECT_NEAR(c.average_duplicates(), 3.0, 1e-12);  // α = 0.25
-  c.observe_delay(2.0);
-  EXPECT_DOUBLE_EQ(c.average_delay(), 2.0);
+  c.observe(0.0, 2.0);
+  EXPECT_DOUBLE_EQ(c.average_delay(), 2.0);  // first sets directly
+  EXPECT_NEAR(c.average_duplicates(), 2.25, 1e-12);
 }
 
 TEST(AdaptiveController, RejectsNegativeSeeds) {

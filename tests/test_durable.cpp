@@ -245,7 +245,6 @@ TEST(DurableMode, ParsesAndNames) {
   EXPECT_EQ(try_parse_durable_mode("cold"), DurableMode::kCold);
   EXPECT_EQ(try_parse_durable_mode("warm"), DurableMode::kWarm);
   EXPECT_FALSE(try_parse_durable_mode("lukewarm").has_value());
-  EXPECT_THROW(parse_durable_mode("lukewarm"), util::CheckError);
   EXPECT_STREQ(durable_mode_name(DurableMode::kWarm), "warm");
   EXPECT_EQ(std::string(durable_mode_names()), "off, cold, warm");
 }
@@ -578,21 +577,16 @@ TEST(ReplyDedup, OracleFlagsDuplicateRetransmissions) {
 
 struct RestartWorkload {
   RestartWorkload() {
-    spec = trace::table1_spec(1);
-    const double scale = 1200.0 / static_cast<double>(spec.packets);
-    spec.losses = static_cast<std::int64_t>(
-        static_cast<double>(spec.losses) * scale);
-    spec.packets = 1200;
+    spec = trace::capped_spec(trace::table1_spec(1), 1200);
     gen = trace::generate_trace(spec);
     const auto est = infer::estimate_links_yajnik(*gen.loss);
     links = std::make_unique<infer::LinkTraceRepresentation>(*gen.loss,
                                                              est.loss_rate);
-    harness::ExperimentConfig cfg;
     context.receivers = spec.receivers;
-    context.data_start = cfg.warmup;
-    context.data_end = cfg.warmup + SimTime::millis(spec.period_ms) *
-                                        static_cast<std::int64_t>(
-                                            spec.packets);
+    context.data_start = harness::kWarmup;
+    context.data_end = harness::kWarmup + SimTime::millis(spec.period_ms) *
+                                              static_cast<std::int64_t>(
+                                                  spec.packets);
     plan = fault::crash_recover_plan(context);
   }
   trace::TraceSpec spec;

@@ -38,11 +38,10 @@ struct Workload {
     links = std::make_unique<infer::LinkTraceRepresentation>(*gen.loss,
                                                              est.loss_rate);
     context.receivers = spec.receivers;
-    harness::ExperimentConfig cfg;
-    context.data_start = cfg.warmup;
+    context.data_start = harness::kWarmup;
     context.data_end =
-        cfg.warmup + sim::SimTime::millis(spec.period_ms) *
-                         static_cast<std::int64_t>(spec.packets);
+        harness::kWarmup + sim::SimTime::millis(spec.period_ms) *
+                               static_cast<std::int64_t>(spec.packets);
   }
   trace::GeneratedTrace gen;
   std::unique_ptr<infer::LinkTraceRepresentation> links;

@@ -144,7 +144,7 @@ TEST(YajnikEstimator, PinnedOnTable1Traces) {
   };
   for (const Pin& pin : pins) {
     SCOPED_TRACE("trace " + std::to_string(pin.id));
-    const auto gen = trace::generate_table1_trace(pin.id);
+    const auto gen = trace::generate_trace(trace::table1_spec(pin.id));
     const auto est = estimate_links_yajnik(*gen.loss);
     EXPECT_EQ(est.samples, pin.samples);
     EXPECT_EQ(est.loss_rate, pin.loss_rate);
@@ -440,7 +440,7 @@ TEST(LinkTrace, EveryPacketCarriesItsPatternsCombination) {
   // the per-packet copies were.
   for (const int id : {2, 12}) {
     SCOPED_TRACE("trace " + std::to_string(id));
-    const auto gen = trace::generate_table1_trace(id);
+    const auto gen = trace::generate_trace(trace::table1_spec(id));
     const auto est = estimate_links_yajnik(*gen.loss);
     const LinkTraceRepresentation links(*gen.loss, est.loss_rate);
     ASSERT_EQ(links.packet_count(), gen.loss->packet_count());

@@ -21,13 +21,7 @@ using harness::ExperimentResult;
 /// A Table-1 spec scaled down to `packets` so integration tests stay fast
 /// while preserving the published shape and loss *rate*.
 trace::TraceSpec scaled_spec(int table1_id, net::SeqNo packets) {
-  trace::TraceSpec spec = trace::table1_spec(table1_id);
-  const double scale = static_cast<double>(packets) /
-                       static_cast<double>(spec.packets);
-  spec.packets = packets;
-  spec.losses = static_cast<std::int64_t>(
-      static_cast<double>(spec.losses) * scale);
-  return spec;
+  return trace::capped_spec(trace::table1_spec(table1_id), packets);
 }
 
 struct PipelineRun {

@@ -341,7 +341,6 @@ TEST(Network, PropagationDelayPerHopForControlPackets) {
 TEST(Network, SerializationDelayForPayload) {
   NetworkConfig cfg;
   cfg.link_delay = sim::SimTime::millis(20);
-  cfg.link_bandwidth_bps = 1.5e6;
   NetFixture f(cfg);
   f.network.multicast(0, make_data_packet(0, 1));
   f.sim.run();
@@ -354,7 +353,6 @@ TEST(Network, SerializationDelayForPayload) {
 TEST(Network, BandwidthQueueingDelaysBackToBackPackets) {
   NetworkConfig cfg;
   cfg.link_delay = sim::SimTime::millis(1);
-  cfg.link_bandwidth_bps = 1.5e6;
   NetFixture f(cfg);
   f.network.multicast(0, make_data_packet(0, 1));
   f.network.multicast(0, make_data_packet(0, 2));  // same instant
@@ -365,16 +363,6 @@ TEST(Network, BandwidthQueueingDelaysBackToBackPackets) {
   // Second packet waits one serialization slot on each shared link but the
   // pipeline overlaps: arrival gap equals one serialization time.
   EXPECT_NEAR((d[1].at - d[0].at).to_millis(), tx_ms, 0.01);
-}
-
-TEST(Network, ModelBandwidthOffIgnoresSerialization) {
-  NetworkConfig cfg;
-  cfg.link_delay = sim::SimTime::millis(20);
-  cfg.model_bandwidth = false;
-  NetFixture f(cfg);
-  f.network.multicast(0, make_data_packet(0, 1));
-  f.sim.run();
-  EXPECT_EQ(f.agents[3]->deliveries.at(0).at, sim::SimTime::millis(40));
 }
 
 TEST(Network, UnicastFollowsTreePath) {
@@ -617,7 +605,6 @@ TEST(Network, PerturbDuplicateDeliversTwice) {
 TEST(Network, PerturbExtraDelayShiftsArrival) {
   NetworkConfig cfg;
   cfg.link_delay = sim::SimTime::millis(20);
-  cfg.model_bandwidth = false;
   NetFixture f(cfg);
   f.network.set_perturb_fn([](const Packet&, NodeId, NodeId) {
     Perturbation p;

@@ -403,15 +403,6 @@ TEST(JsonHelpers, EscapeAndDouble) {
   EXPECT_EQ(dv.str(), "0.5");
 }
 
-TEST(Stats, SampleSummaryJson) {
-  util::Sample s;
-  for (int i = 1; i <= 100; ++i) s.add(static_cast<double>(i));
-  const std::string json = s.summary_json();
-  EXPECT_EQ(json.rfind("{\"count\":100,", 0), 0u);
-  EXPECT_NE(json.find("\"p99\":"), std::string::npos);
-  EXPECT_EQ(util::Sample().summary_json().rfind("{\"count\":0,", 0), 0u);
-}
-
 TEST(Stats, HistogramUnderOverflowTallied) {
   util::Histogram h(0.0, 10.0, 5);
   h.add(-1.0);   // clamps into bucket 0, tallied as underflow

@@ -61,12 +61,6 @@ TEST(DistanceTable, BuildEchoesReflectsHeardPeers) {
   EXPECT_EQ(echoes[1].hold, SimTime::millis(60));
 }
 
-TEST(DistanceTable, SetDistanceOverrides) {
-  DistanceTable b(2);
-  b.set_distance(9, 0.042);
-  EXPECT_DOUBLE_EQ(b.distance(9), 0.042);
-}
-
 TEST(DistanceTable, NegativeRttIgnored) {
   DistanceTable b(2);
   net::SessionPayload payload;

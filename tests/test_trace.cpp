@@ -60,7 +60,6 @@ TEST(LossTrace, AggregateCounters) {
   EXPECT_EQ(t.total_losses(), 3u);
   EXPECT_EQ(t.receiver_losses(0), 2u);
   EXPECT_EQ(t.receiver_losses(2), 0u);
-  EXPECT_EQ(t.lossy_packets(), 2u);
   EXPECT_DOUBLE_EQ(t.loss_rate(), 3.0 / 30.0);
 }
 
@@ -252,8 +251,9 @@ TEST(Catalog, DurationMatchesPublishedColumn) {
 }
 
 TEST(Catalog, LookupByName) {
-  EXPECT_EQ(table1_spec_by_name("WRN951216").id, 13);
-  EXPECT_THROW(table1_spec_by_name("NOPE"), util::CheckError);
+  EXPECT_EQ(std::ranges::find(table1_specs(), "WRN951216", &TraceSpec::name)
+                ->id,
+            13);
   EXPECT_THROW(table1_spec(0), util::CheckError);
   EXPECT_THROW(table1_spec(15), util::CheckError);
 }
@@ -340,7 +340,8 @@ TEST(TraceGenerator, GroundTruthExplainsEveryLoss) {
 
 TEST(TraceGenerator, Table1TraceSmoke) {
   // Generate the smallest Table-1 trace end to end.
-  const auto gen = generate_table1_trace(4);  // WRN950919: 17637 packets
+  // WRN950919: 17637 packets.
+  const auto gen = generate_trace(table1_spec(4));
   const auto& spec = table1_spec(4);
   EXPECT_EQ(static_cast<int>(gen.loss->receiver_count()), spec.receivers);
   EXPECT_EQ(gen.loss->tree().max_depth(), spec.depth);
@@ -372,18 +373,6 @@ std::uint64_t trace_digest(const GeneratedTrace& gen) {
     for (net::LinkId l : drops) mix(static_cast<std::uint64_t>(l));
   }
   return h;
-}
-
-/// The benches' --packets-cap scaling (bench_common.cpp's capped_spec).
-TraceSpec capped(const TraceSpec& spec, net::SeqNo cap) {
-  if (cap <= 0 || cap >= spec.packets) return spec;
-  TraceSpec scaled = spec;
-  const double scale =
-      static_cast<double>(cap) / static_cast<double>(spec.packets);
-  scaled.packets = cap;
-  scaled.losses =
-      static_cast<std::int64_t>(static_cast<double>(spec.losses) * scale);
-  return scaled;
 }
 
 TraceSpec pin_spec(net::SeqNo packets, std::int64_t losses,
@@ -451,7 +440,7 @@ TEST(GeneratorPins, AllTable1TracesCappedAt2000) {
   };
   for (int id = 1; id <= 14; ++id) {
     SCOPED_TRACE("trace " + std::to_string(id));
-    expect_pin(capped(table1_spec(id), 2000),
+    expect_pin(capped_spec(table1_spec(id), 2000),
                pins[static_cast<std::size_t>(id - 1)]);
   }
 }

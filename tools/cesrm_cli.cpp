@@ -66,9 +66,10 @@
 //       InvariantOracle verdict (any unrecovered loss fails the run).
 //       Prints the same recovery summary as 'simulate'; --trace-out and
 //       --json apply. Refuses --protocol=lms (no socket backend holds
-//       LMS's router replier state) and the confidence and oracle cache
+//       LMS's router replier state), the confidence and oracle cache
 //       policies (a live group has no loss trace to back their side
-//       info). Linux-only (epoll).
+//       info), and --metrics-out and --durable (a live group records only
+//       --trace-out). Linux-only (epoll).
 
 #include <algorithm>
 #include <fstream>
@@ -109,14 +110,8 @@ int cmd_generate(const util::CliFlags& flags) {
     std::cerr << "generate: --out=FILE is required\n";
     return 1;
   }
-  trace::TraceSpec spec = trace::table1_spec(id);
-  const auto cap = flags.get_int("packets-cap");
-  if (cap > 0 && cap < spec.packets) {
-    spec.losses = static_cast<std::int64_t>(
-        static_cast<double>(spec.losses) * static_cast<double>(cap) /
-        static_cast<double>(spec.packets));
-    spec.packets = cap;
-  }
+  const trace::TraceSpec spec = trace::capped_spec(
+      trace::table1_spec(id), flags.get_int("packets-cap"));
   std::cout << "generating " << spec.name << " (" << spec.packets
             << " packets, target " << spec.losses << " losses)...\n";
   const auto gen = trace::generate_trace(spec);
@@ -223,7 +218,14 @@ std::optional<harness::ExperimentConfig> config_from_flags(
     const util::CliFlags& flags) {
   harness::ExperimentConfig cfg;
   cfg.cesrm.router_assist = flags.get_bool("router-assist");
-  cfg.cesrm.policy = ::cesrm::cesrm::parse_policy(flags.get_string("policy"));
+  const auto policy =
+      ::cesrm::cesrm::try_parse_policy(flags.get_string("policy"));
+  if (!policy) {
+    std::cerr << "bad --policy: '" << flags.get_string("policy")
+              << "' (valid: " << ::cesrm::cesrm::policy_names() << ")\n";
+    return std::nullopt;
+  }
+  cfg.cesrm.policy = *policy;
   const auto cache_policy =
       ::cesrm::cesrm::try_parse_cache_policy(flags.get_string("cache-policy"));
   if (!cache_policy) {
@@ -452,6 +454,15 @@ int cmd_netio_run(const util::CliFlags& flags) {
                  "have (policies needing side info: "
               << ::cesrm::cesrm::cache_policies_needing_side_info()
               << "); pick another policy\n";
+    return 1;
+  }
+  // A live group records only its protocol-event trace: it keeps no
+  // metrics registry and no durable store, so refuse the flags that would
+  // silently do nothing.
+  if (!flags.get_string("metrics-out").empty() ||
+      maybe_cfg->durable.mode != durable::DurableMode::kOff) {
+    std::cerr << "netio-run: --metrics-out and --durable do not apply to a "
+                 "live group, which records only --trace-out\n";
     return 1;
   }
 
@@ -913,7 +924,8 @@ int main(int argc, char** argv) {
                                "(netio-run refuses lms): ") +
                        protocol_names());
   flags.add_string("policy", "most-recent",
-                   "expedition policy: most-recent | most-frequent");
+                   std::string("expedition policy: ") +
+                       ::cesrm::cesrm::policy_names());
   flags.add_string("cache-policy", "recency",
                    std::string("cache replacement policy: ") +
                        ::cesrm::cesrm::cache_policy_names());

@@ -32,20 +32,45 @@ if(NOT rc EQUAL 0 OR NOT EXISTS ${json})
                       "without writing ${json}")
 endif()
 
+# A bad spelling of each enum flag is refused (exit 1), and the message
+# lists the valid spellings.
+foreach(args
+    "simulate;--in=${trace_file};--protocol=tcp"
+    "simulate;--in=${trace_file};--policy=most_recent"
+    "simulate;--in=${trace_file};--cache-policy=mru"
+    "simulate;--in=${trace_file};--durable=lukewarm"
+    "inspect;--in=${trace_file};--log-level=bogus")
+  execute_process(COMMAND ${CLI} ${args}
+    RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "valid: ")
+    message(FATAL_ERROR "cesrm_cli ${args} exited ${rc} (${err}), want 1 "
+                        "and the valid spellings")
+  endif()
+endforeach()
+
 # Refused before any work (exit 1): a link delay below 1 ms; LMS on
-# netio-run, since no socket backend holds its router replier state; and
-# the confidence/oracle cache policies on netio-run, whose live group has
-# no loss trace to back their side info (simulate/compare above run them).
+# netio-run, since no socket backend holds its router replier state; the
+# confidence/oracle cache policies on netio-run, whose live group has no
+# loss trace to back their side info (simulate/compare above run them);
+# and --metrics-out and --durable on netio-run, since a live group
+# records only --trace-out.
+set(netio_metrics ${WORK}/smoke_netio_metrics.json)
+file(REMOVE ${netio_metrics})
 foreach(args
     "simulate;--in=${trace_file};--link-delay-ms=0"
     "netio-run;--protocol=lms"
-    "netio-run;--cache-policy=oracle")
+    "netio-run;--cache-policy=oracle"
+    "netio-run;--metrics-out=${netio_metrics}"
+    "netio-run;--durable=warm")
   execute_process(COMMAND ${CLI} ${args}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_QUIET)
   if(NOT rc EQUAL 1)
     message(FATAL_ERROR "cesrm_cli ${args} exited ${rc}, want 1")
   endif()
 endforeach()
+if(EXISTS ${netio_metrics})
+  message(FATAL_ERROR "refused netio-run still wrote ${netio_metrics}")
+endif()
 
 # --link-delay-ms reaches the simulated network: a shorter delay changes
 # the replay.
