@@ -36,8 +36,8 @@
 // implements pure SRM.
 //
 // Statistics are accumulated in HostStats: per-packet-type send counts and
-// one RecoveryRecord per detected loss, from which the harness computes
-// every figure of §4.4.
+// one RecoveryRecord per detected loss (kept compactly in a RecoveryLog),
+// from which the harness computes every figure of §4.4.
 #pragma once
 
 #include <array>
@@ -57,6 +57,7 @@
 #include "sim/timer.hpp"
 #include "srm/adaptive.hpp"
 #include "srm/config.hpp"
+#include "srm/recovery_log.hpp"
 #include "srm/session.hpp"
 #include "util/rng.hpp"
 #include "wire/layout.hpp"
@@ -64,23 +65,6 @@
 namespace cesrm::srm {
 
 class DurableSink;
-
-/// Outcome of one loss-recovery episode at one receiver.
-struct RecoveryRecord {
-  net::NodeId source = net::kInvalidNode;  ///< stream the packet belongs to
-  net::SeqNo seq = net::kNoSeq;
-  sim::SimTime detect_time;
-  sim::SimTime recover_time;
-  bool recovered = false;
-  /// True when the packet was recovered by a CESRM expedited reply.
-  bool expedited = false;
-  /// Request back-off rounds used before recovery.
-  int rounds = 0;
-  /// Recovery latency in seconds (valid when recovered).
-  double latency_seconds() const {
-    return (recover_time - detect_time).to_seconds();
-  }
-};
 
 /// Per-host protocol statistics (aggregated over all streams).
 struct HostStats {
@@ -149,7 +133,9 @@ struct HostStats {
   /// non-zero only with reply dedup disabled (the diagnostic mode the
   /// fault oracle's duplicate-retransmission detector flags).
   std::uint64_t duplicate_retransmissions_served = 0;
-  std::vector<RecoveryRecord> recoveries;
+  /// One RecoveryRecord per detected loss, in the order each episode
+  /// closed (recovered, or open at finalize_stats()).
+  RecoveryLog recoveries;
 };
 
 class SrmAgent : public net::Agent {

@@ -11,6 +11,7 @@
 #include "cesrm/cesrm_agent.hpp"
 #include "cesrm/policy.hpp"
 #include "net/topology_builder.hpp"
+#include "recovery_records.hpp"
 #include "util/check.hpp"
 
 namespace cesrm::cesrm {
@@ -269,8 +270,9 @@ TEST(CesrmAgent, FirstLossRecoversViaSrmAndSeedsCache) {
   b.run_for(SimTime::seconds(10));
   const auto& stats = b.at(3).stats();
   ASSERT_EQ(stats.recoveries.size(), 1u);
-  EXPECT_TRUE(stats.recoveries[0].recovered);
-  EXPECT_FALSE(stats.recoveries[0].expedited);  // cache was empty
+  const auto recs = recovery_records(stats.recoveries);
+  EXPECT_TRUE(recs[0].recovered);
+  EXPECT_FALSE(recs[0].expedited);  // cache was empty
   EXPECT_EQ(stats.exp_requests_sent, 0u);
   // The reply seeded the cache with this host as requestor.
   ASSERT_FALSE(b.at(3).cache().empty());
@@ -288,17 +290,17 @@ TEST(CesrmAgent, RepeatLossOnSameLinkRecoversExpedited) {
   b.run_for(SimTime::seconds(20));
   const auto& stats = b.at(3).stats();
   ASSERT_EQ(stats.recoveries.size(), 2u);
-  EXPECT_FALSE(stats.recoveries[0].expedited);
-  EXPECT_TRUE(stats.recoveries[1].expedited);
+  const auto recs = recovery_records(stats.recoveries);
+  EXPECT_FALSE(recs[0].expedited);
+  EXPECT_TRUE(recs[1].expedited);
   EXPECT_EQ(stats.exp_requests_sent, 1u);
   // The expedited recovery is much faster than the SRM one: it skips the
   // C1·d̂hs ≥ 40 ms request delay entirely.
-  EXPECT_LT(stats.recoveries[1].latency_seconds(),
-            stats.recoveries[0].latency_seconds());
+  EXPECT_LT(recs[1].latency_seconds(), recs[0].latency_seconds());
   // Expedited latency ≈ RTT(3, replier) + the reply's serialization time:
   // at most 2·20 ms propagation + 2·5.46 ms ≈ 51 ms, and always below the
   // C1·d̂hs = 40 ms minimum request delay plus reply-side delays of SRM.
-  EXPECT_LT(stats.recoveries[1].latency_seconds(), 0.055);
+  EXPECT_LT(recs[1].latency_seconds(), 0.055);
 }
 
 TEST(CesrmAgent, ExpeditedReplySuppressesSrmRequestsGroupWide) {
@@ -314,8 +316,9 @@ TEST(CesrmAgent, ExpeditedReplySuppressesSrmRequestsGroupWide) {
   for (NodeId n : {3, 4}) {
     const auto& stats = b.at(n).stats();
     ASSERT_EQ(stats.recoveries.size(), 2u) << "node " << n;
-    EXPECT_TRUE(stats.recoveries[1].recovered);
-    exp_recoveries += stats.recoveries[1].expedited ? 1 : 0;
+    const auto recs = recovery_records(stats.recoveries);
+    EXPECT_TRUE(recs[1].recovered);
+    exp_recoveries += recs[1].expedited ? 1 : 0;
   }
   // Both shared-loss receivers recover expedited from the one exp reply.
   EXPECT_EQ(exp_recoveries, 2u);
@@ -334,7 +337,7 @@ TEST(CesrmAgent, OnlyCachedRequestorExpedites) {
   b.run_for(SimTime::seconds(20));
   EXPECT_EQ(b.at(5).stats().exp_requests_sent, 0u);
   ASSERT_EQ(b.at(5).stats().recoveries.size(), 1u);
-  EXPECT_FALSE(b.at(5).stats().recoveries[0].expedited);
+  EXPECT_FALSE(recovery_records(b.at(5).stats().recoveries)[0].expedited);
   EXPECT_TRUE(b.at(5).has_packet(10));
 }
 
@@ -352,8 +355,9 @@ TEST(CesrmAgent, ReorderDelayDefersExpeditedRequest) {
   EXPECT_EQ(stats.exp_requests_sent, 0u);
   EXPECT_EQ(stats.exp_requests_cancelled, 1u);
   ASSERT_EQ(stats.recoveries.size(), 2u);
-  EXPECT_TRUE(stats.recoveries[1].recovered);
-  EXPECT_FALSE(stats.recoveries[1].expedited);
+  const auto recs = recovery_records(stats.recoveries);
+  EXPECT_TRUE(recs[1].recovered);
+  EXPECT_FALSE(recs[1].expedited);
 }
 
 TEST(CesrmAgent, FallsBackToSrmWhenExpeditedFails) {
@@ -437,14 +441,15 @@ TEST(CesrmAgent, RouterAssistLocalizesExpeditedReplies) {
   b.transmit(12);
   b.run_for(SimTime::seconds(20));
   ASSERT_EQ(b.at(3).stats().recoveries.size(), 2u);
-  EXPECT_TRUE(b.at(3).stats().recoveries[1].recovered);
-  EXPECT_TRUE(b.at(3).stats().recoveries[1].expedited);
+  const auto recs = recovery_records(b.at(3).stats().recoveries);
+  EXPECT_TRUE(recs[1].recovered);
+  EXPECT_TRUE(recs[1].expedited);
   // The expedited reply is localized when the cached turning point lies
   // below the root (replier in the same region); with a root turning
   // point CESRM falls back to multicast, which costs the same or less.
   // Either way, total exposure never exceeds one full multicast.
   const auto& crossings = b.network->crossings();
-  EXPECT_EQ(b.at(3).stats().recoveries[1].expedited, true);
+  EXPECT_EQ(recs[1].expedited, true);
   EXPECT_LE(crossings.unicast_of(net::PacketType::kExpReply) +
                 crossings.subcast_of(net::PacketType::kExpReply) +
                 crossings.multicast_of(net::PacketType::kExpReply),
@@ -555,7 +560,7 @@ TEST(CesrmAgent, AdaptsWhenCachedReplierCrashes) {
   // The final loss recovered expeditiously again: the cache re-seeded
   // itself from the post-crash SRM recovery (replier can only be the
   // source now, which is alive).
-  EXPECT_TRUE(stats.recoveries[3].recovered);
+  EXPECT_TRUE(recovery_records(stats.recoveries)[3].recovered);
 }
 
 TEST(CesrmAgent, FailedMemberGoesSilent) {

@@ -27,6 +27,7 @@
 #include "infer/link_trace.hpp"
 #include "net/network.hpp"
 #include "net/topology_builder.hpp"
+#include "recovery_records.hpp"
 #include "srm/srm_agent.hpp"
 #include "trace/catalog.hpp"
 #include "trace/trace_generator.hpp"
@@ -544,7 +545,8 @@ TEST(ReplyDedup, RestoredLedgerSuppressesOnceThenServes) {
   EXPECT_EQ(d.bench.at(0).served_ledger_size(), 0u);
   EXPECT_TRUE(d.bench.at(2).has_packet(0, 0));
   ASSERT_FALSE(d.bench.at(2).stats().recoveries.empty());
-  EXPECT_TRUE(d.bench.at(2).stats().recoveries.front().recovered);
+  EXPECT_TRUE(
+      recovery_records(d.bench.at(2).stats().recoveries).front().recovered);
 }
 
 TEST(ReplyDedup, DisabledDedupServesAndCountsTheDuplicate) {

@@ -10,6 +10,7 @@
 #include "lms/directory.hpp"
 #include "lms/lms_agent.hpp"
 #include "net/topology_builder.hpp"
+#include "recovery_records.hpp"
 #include "util/check.hpp"
 
 namespace cesrm::lms {
@@ -145,7 +146,8 @@ TEST(LmsAgent, RecoversThroughDesignatedReplier) {
   }
   ASSERT_EQ(b.at(4).stats().recoveries.size(), 1u);
   // LMS recovery is fast: roughly the RTT to the nearby replier.
-  EXPECT_LT(b.at(4).stats().recoveries[0].latency_seconds(), 0.08);
+  EXPECT_LT(recovery_records(b.at(4).stats().recoveries)[0].latency_seconds(),
+            0.08);
 }
 
 TEST(LmsAgent, ReplyIsLocalizedToTurningPointSubtree) {
@@ -186,7 +188,7 @@ TEST(LmsAgent, CrashedReplierStallsRecoveryUntilRepair) {
   b.sim.run_until(SimTime::seconds(60));
   EXPECT_TRUE(b.at(4).has_packet(0, 10));
   ASSERT_EQ(b.at(4).stats().recoveries.size(), 1u);
-  const auto& rec = b.at(4).stats().recoveries[0];
+  const auto rec = recovery_records(b.at(4).stats().recoveries)[0];
   // The first request black-holed at the dead replier; recovery needed
   // either the escalation timeout or the directory repair — far slower
   // than the healthy-path exchange (< 80 ms).
@@ -226,7 +228,7 @@ TEST(LmsAgent, DirectoryRepairRestoresFastRecovery) {
   });
   b.sim.run_until(SimTime::seconds(80));
   ASSERT_EQ(b.at(4).stats().recoveries.size(), 2u);
-  const auto& post_repair = b.at(4).stats().recoveries[1];
+  const auto post_repair = recovery_records(b.at(4).stats().recoveries)[1];
   EXPECT_TRUE(post_repair.recovered);
   // Post-repair the entry points at receiver 4's sibling... receiver 4
   // itself is now router 1's designated replier, so its own requests

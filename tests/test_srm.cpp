@@ -4,14 +4,26 @@
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
+#include <iterator>
+#include <limits>
 #include <memory>
 #include <set>
+#include <string>
+#include <vector>
 
+#include "harness/experiment.hpp"
+#include "infer/link_estimator.hpp"
+#include "infer/link_trace.hpp"
 #include "net/network.hpp"
 #include "net/topology_builder.hpp"
+#include "recovery_records.hpp"
 #include "srm/session.hpp"
 #include "srm/srm_agent.hpp"
+#include "trace/catalog.hpp"
+#include "trace/trace_generator.hpp"
 #include "util/check.hpp"
+#include "util/rng.hpp"
 
 namespace cesrm::srm {
 namespace {
@@ -147,7 +159,7 @@ TEST(SrmAgent, GapDetectionTriggersRecovery) {
   const auto& stats = b.at(3).stats();
   EXPECT_EQ(stats.losses_detected, 1u);
   ASSERT_EQ(stats.recoveries.size(), 1u);
-  const auto& rec = stats.recoveries[0];
+  const auto rec = recovery_records(stats.recoveries)[0];
   EXPECT_TRUE(rec.recovered);
   EXPECT_EQ(rec.seq, 0);
   EXPECT_FALSE(rec.expedited);
@@ -161,7 +173,7 @@ TEST(SrmAgent, DetectionTimeIsArrivalOfNextPacket) {
   b.drop(0, 3);
   b.transmit(2, SimTime::millis(80));
   b.run_for(SimTime::seconds(10));
-  const auto& rec = b.at(3).stats().recoveries.at(0);
+  const auto rec = recovery_records(b.at(3).stats().recoveries).at(0);
   // Packet 1 sent at t=80 ms arrives at 3 after 2 hops:
   // 2 × (serialization ≈5.46 ms + 10 ms). Detection == that arrival.
   const double tx_ms = 1024.0 * 8.0 / 1.5e6 * 1000.0;
@@ -176,7 +188,7 @@ TEST(SrmAgent, FirstRequestDelayWithinScheduledInterval) {
   b.drop(0, 3);
   b.transmit(2);
   b.run_for(SimTime::seconds(10));
-  const auto& rec = b.at(3).stats().recoveries.at(0);
+  const auto rec = recovery_records(b.at(3).stats().recoveries).at(0);
   const double latency_ms = rec.latency_seconds() * 1000.0;
   // Lower bound: request delay ≥ 40 ms plus request+reply propagation
   // (≥ 2 hops each way to the closest replier ≈ 40 ms with D1 ≥ 1).
@@ -241,11 +253,11 @@ TEST(SrmAgent, TailLossDetectedViaSessionMessages) {
   b.run_for(SimTime::seconds(15));
   EXPECT_TRUE(b.at(3).has_packet(4));
   ASSERT_EQ(b.at(3).stats().recoveries.size(), 1u);
-  EXPECT_TRUE(b.at(3).stats().recoveries[0].recovered);
+  const auto recs = recovery_records(b.at(3).stats().recoveries);
+  EXPECT_TRUE(recs[0].recovered);
   // Detection could not have happened before the first source session
   // message following the loss.
-  EXPECT_GT(b.at(3).stats().recoveries[0].detect_time,
-            SimTime::millis(80 * 4));
+  EXPECT_GT(recs[0].detect_time, SimTime::millis(80 * 4));
 }
 
 TEST(SrmAgent, LossOfAllInitialPacketsDetectedOnFirstArrival) {
@@ -276,7 +288,7 @@ TEST(SrmAgent, MultiRoundRecoveryWhenRepliesAreLost) {
   b.transmit(2);
   b.run_for(SimTime::seconds(30));
   ASSERT_EQ(b.at(3).stats().recoveries.size(), 1u);
-  const auto& rec = b.at(3).stats().recoveries[0];
+  const auto rec = recovery_records(b.at(3).stats().recoveries)[0];
   EXPECT_TRUE(rec.recovered);
   EXPECT_GE(rec.rounds, 2);  // needed more than one request round
   EXPECT_GE(b.at(3).stats().requests_sent, 2u);
@@ -433,8 +445,187 @@ TEST(SrmAgent, FinalizeRecordsUnrecoveredLosses) {
   EXPECT_EQ(b.at(3).outstanding_losses(), 1u);
   b.at(3).finalize_stats();
   ASSERT_EQ(b.at(3).stats().recoveries.size(), 1u);
-  EXPECT_FALSE(b.at(3).stats().recoveries[0].recovered);
+  EXPECT_FALSE(recovery_records(b.at(3).stats().recoveries)[0].recovered);
   EXPECT_EQ(b.at(3).outstanding_losses(), 0u);
+}
+
+// ------------------------------------------------------------ RecoveryLog --
+
+RecoveryRecord record(NodeId source, SeqNo seq, std::int64_t detect_ns,
+                      std::int64_t recover_ns, bool recovered, bool expedited,
+                      int rounds) {
+  RecoveryRecord r;
+  r.source = source;
+  r.seq = seq;
+  r.detect_time = SimTime::nanos(detect_ns);
+  r.recover_time = SimTime::nanos(recover_ns);
+  r.recovered = recovered;
+  r.expedited = expedited;
+  r.rounds = rounds;
+  return r;
+}
+
+RecoveryLog log_of(const std::vector<RecoveryRecord>& recs) {
+  RecoveryLog log;
+  for (const auto& r : recs) log.push_back(r);
+  return log;
+}
+
+/// Pushes `recs` and checks that iteration yields each one, field by field.
+void expect_round_trip(const std::vector<RecoveryRecord>& recs) {
+  const RecoveryLog log = log_of(recs);
+  ASSERT_EQ(log.size(), recs.size());
+  EXPECT_EQ(log.empty(), recs.empty());
+  const auto back = recovery_records(log);
+  ASSERT_EQ(back.size(), recs.size());
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    EXPECT_EQ(back[i].source, recs[i].source) << "record " << i;
+    EXPECT_EQ(back[i].seq, recs[i].seq) << "record " << i;
+    EXPECT_EQ(back[i].detect_time.ns(), recs[i].detect_time.ns())
+        << "record " << i;
+    EXPECT_EQ(back[i].recover_time.ns(), recs[i].recover_time.ns())
+        << "record " << i;
+    EXPECT_EQ(back[i].recovered, recs[i].recovered) << "record " << i;
+    EXPECT_EQ(back[i].expedited, recs[i].expedited) << "record " << i;
+    EXPECT_EQ(back[i].rounds, recs[i].rounds) << "record " << i;
+  }
+}
+
+static_assert(std::forward_iterator<RecoveryLog::const_iterator>);
+
+TEST(RecoveryLog, EmptyLogYieldsNothing) {
+  const RecoveryLog log;
+  EXPECT_TRUE(log.empty());
+  EXPECT_EQ(log.size(), 0u);
+  EXPECT_EQ(log.bytes(), 0u);
+  EXPECT_TRUE(log.begin() == log.end());
+  EXPECT_TRUE(log == RecoveryLog{});
+  expect_round_trip({});
+}
+
+TEST(RecoveryLog, EdgeValuesRoundTrip) {
+  constexpr std::int64_t lo = std::numeric_limits<std::int64_t>::min();
+  constexpr std::int64_t hi = std::numeric_limits<std::int64_t>::max();
+  constexpr NodeId node_lo = std::numeric_limits<NodeId>::min();
+  constexpr NodeId node_hi = std::numeric_limits<NodeId>::max();
+  constexpr int int_lo = std::numeric_limits<int>::min();
+  constexpr int int_hi = std::numeric_limits<int>::max();
+  const std::int64_t never = SimTime::infinity().ns();
+  expect_round_trip({
+      RecoveryRecord{},                               // equals the first base
+      record(0, 5, 1000, never, false, false, 0),     // open at the end
+      record(0, 4, 2000, 1500, true, false, 1),       // recovered < detected
+      record(0, 4, 2000, 1500, true, false, 1),       // all deltas zero
+      record(0, hi, hi, lo, true, true, 14),
+      record(0, lo, lo, hi, false, true, 15),
+      record(0, net::kNoSeq, 0, 0, true, false, -1),
+      record(0, hi, lo, never, true, true, 7),        // last inline rounds
+      record(0, lo, hi, hi - 1, false, false, -8),    // first escaped rounds
+      record(0, 0, 0, never, true, false, 8),
+      record(3, 1, 1, 2, true, false, int_lo),        // source changes
+      record(7, 0, 1, 2, true, true, int_hi),
+      record(3, 2, 0, 0, false, false, -15),
+      record(net::kInvalidNode, net::kNoSeq, 0, never, false, false, 0),
+      record(node_hi, hi, hi, hi, true, true, 0),
+      record(node_lo, lo, lo, lo, true, true, 0),
+      record(node_hi, 0, 0, 0, false, false, 0),
+  });
+}
+
+TEST(RecoveryLog, SeededRandomSequencesRoundTrip) {
+  for (std::uint64_t seed = 1; seed <= 64; ++seed) {
+    SCOPED_TRACE("seed " + std::to_string(seed));
+    util::Rng rng(seed);
+    const auto any64 = [&rng] {
+      return static_cast<std::int64_t>(rng.next_u64());
+    };
+    std::vector<RecoveryRecord> recs(
+        static_cast<std::size_t>(rng.uniform_int(0, 300)));
+    RecoveryRecord prev;
+    for (auto& r : recs) {
+      // Mostly the small steps of a real run (seq and time moving either
+      // way, a few sources), sometimes any 64-bit value.
+      r.source = rng.bernoulli(0.9)
+                     ? prev.source
+                     : static_cast<NodeId>(rng.uniform_int(-1, 40));
+      if (rng.bernoulli(0.02))
+        r.source = static_cast<NodeId>(static_cast<std::uint32_t>(rng.next_u64()));
+      r.seq = rng.bernoulli(0.9) ? prev.seq + rng.uniform_int(-50, 50)
+                                 : any64();
+      r.detect_time = rng.bernoulli(0.9)
+                          ? prev.detect_time +
+                                SimTime::nanos(rng.uniform_int(-1000000,
+                                                               200000000))
+                          : SimTime::nanos(any64());
+      const double kind = rng.next_double();
+      r.recover_time =
+          kind < 0.2   ? SimTime::infinity()
+          : kind < 0.9 ? r.detect_time +
+                             SimTime::nanos(rng.uniform_int(0, 2000000000))
+                       : SimTime::nanos(any64());
+      r.recovered = rng.bernoulli(0.5);
+      r.expedited = rng.bernoulli(0.5);
+      r.rounds = rng.bernoulli(0.95)
+                     ? static_cast<int>(rng.uniform_int(-20, 40))
+                     : static_cast<int>(static_cast<std::uint32_t>(rng.next_u64()));
+      prev = r;
+    }
+    expect_round_trip(recs);
+  }
+}
+
+TEST(RecoveryLog, CopiesCompareEqualAndKeepAppending) {
+  const std::vector<RecoveryRecord> recs = {
+      record(0, 3, 100, 200, true, false, 1),
+      record(0, 1, 150, SimTime::infinity().ns(), false, false, 2),
+      record(4, 9, 180, 260, true, true, 0),
+  };
+  const RecoveryLog a = log_of(recs);
+  RecoveryLog copy = a;
+  EXPECT_TRUE(copy == a);
+  EXPECT_EQ(copy.size(), a.size());
+  EXPECT_EQ(copy.bytes(), a.bytes());
+  // A copy continues the delta chain where the original left off.
+  RecoveryLog longer = a;
+  const RecoveryRecord next = record(4, 10, 300, 400, true, false, 0);
+  longer.push_back(next);
+  copy.push_back(next);
+  EXPECT_FALSE(longer == a);
+  EXPECT_TRUE(longer == copy);
+  auto all = recs;
+  all.push_back(next);
+  expect_round_trip(all);
+  const auto back = recovery_records(longer);
+  ASSERT_EQ(back.size(), all.size());
+  EXPECT_EQ(back.back().seq, 10);
+  EXPECT_EQ(back.back().source, 4);
+  // One field of one record differing makes the logs differ.
+  for (std::size_t i = 0; i < recs.size(); ++i) {
+    auto changed = recs;
+    changed[i].expedited = !changed[i].expedited;
+    EXPECT_FALSE(log_of(changed) == a) << "record " << i;
+    changed = recs;
+    changed[i].detect_time += SimTime::nanos(1);
+    EXPECT_FALSE(log_of(changed) == a) << "record " << i;
+  }
+}
+
+TEST(RecoveryLog, TableOneRunAveragesAtMostTwelveBytesPerRecord) {
+  const auto gen =
+      trace::generate_trace(trace::capped_spec(trace::table1_spec(3), 6000));
+  const auto est = infer::estimate_links_yajnik(*gen.loss);
+  const infer::LinkTraceRepresentation links(*gen.loss, est.loss_rate);
+  harness::ExperimentConfig cfg;
+  cfg.protocol = Protocol::kCesrm;
+  const auto result = harness::run_experiment(*gen.loss, links, cfg);
+  std::size_t records = 0, bytes = 0;
+  for (const auto& m : result.members) {
+    records += m.stats.recoveries.size();
+    bytes += m.stats.recoveries.bytes();
+  }
+  ASSERT_GT(records, 1000u);
+  EXPECT_LE(static_cast<double>(bytes) / static_cast<double>(records), 12.0)
+      << bytes << " bytes for " << records << " records";
 }
 
 }  // namespace

@@ -211,6 +211,17 @@ int cmd_estimate(const util::CliFlags& flags) {
   return 0;
 }
 
+// The --protocol of simulate and netio-run; nullopt after the same
+// "bad --flag" message as every other enum flag.
+std::optional<Protocol> protocol_from_flags(const util::CliFlags& flags) {
+  const std::string protocol = flags.get_string("protocol");
+  const auto parsed = try_parse_protocol(protocol);
+  if (!parsed)
+    std::cerr << "bad --protocol: '" << protocol
+              << "' (valid: " << protocol_names() << ")\n";
+  return parsed;
+}
+
 // Builds the simulate/compare experiment config (netio-run reuses it for
 // the flags they share); nullopt (after a one-line friendly stderr
 // message, not a CHECK crash) on bad flag values.
@@ -340,13 +351,8 @@ int cmd_simulate(const util::CliFlags& flags) {
 
   const auto maybe_cfg = config_from_flags(flags);
   if (!maybe_cfg) return 1;
-  const std::string protocol = flags.get_string("protocol");
-  const auto proto = try_parse_protocol(protocol);
-  if (!proto) {
-    std::cerr << "simulate: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names() << ")\n";
-    return 1;
-  }
+  const auto proto = protocol_from_flags(flags);
+  if (!proto) return 1;
 
   harness::ExperimentJob job;
   job.loss = file.loss;
@@ -469,14 +475,9 @@ int cmd_netio_run(const util::CliFlags& flags) {
   netio::NetioRunConfig cfg;
   cfg.cesrm = maybe_cfg->cesrm;
   cfg.seed = maybe_cfg->seed;
-  const std::string protocol = flags.get_string("protocol");
-  if (const auto parsed = try_parse_protocol(protocol)) {
-    cfg.protocol = *parsed;
-  } else {
-    std::cerr << "netio-run: unknown --protocol '" << protocol
-              << "' (valid: " << protocol_names() << ")\n";
-    return 1;
-  }
+  const auto proto = protocol_from_flags(flags);
+  if (!proto) return 1;
+  cfg.protocol = *proto;
 
   cfg.tree_text = flags.get_string("tree");
   cfg.shape.receivers = static_cast<int>(flags.get_int("receivers"));

@@ -32,19 +32,24 @@ if(NOT rc EQUAL 0 OR NOT EXISTS ${json})
                       "without writing ${json}")
 endif()
 
-# A bad spelling of each enum flag is refused (exit 1), and the message
-# lists the valid spellings.
+# A bad spelling of each enum flag is refused (exit 1) with one message
+# form, "bad --<flag>: '<value>' (valid: ...)". The bad flag is the last
+# argument.
 foreach(args
     "simulate;--in=${trace_file};--protocol=tcp"
+    "netio-run;--protocol=tcp"
     "simulate;--in=${trace_file};--policy=most_recent"
     "simulate;--in=${trace_file};--cache-policy=mru"
     "simulate;--in=${trace_file};--durable=lukewarm"
     "inspect;--in=${trace_file};--log-level=bogus")
+  list(GET args -1 bad)
+  string(REGEX MATCH "^--([^=]+)=(.*)$" bad "${bad}")
+  set(want "bad --${CMAKE_MATCH_1}: '${CMAKE_MATCH_2}' \\(valid: ")
   execute_process(COMMAND ${CLI} ${args}
     RESULT_VARIABLE rc OUTPUT_QUIET ERROR_VARIABLE err)
-  if(NOT rc EQUAL 1 OR NOT err MATCHES "valid: ")
+  if(NOT rc EQUAL 1 OR NOT err MATCHES "${want}")
     message(FATAL_ERROR "cesrm_cli ${args} exited ${rc} (${err}), want 1 "
-                        "and the valid spellings")
+                        "and a message matching \"${want}\"")
   endif()
 endforeach()
 
